@@ -14,7 +14,7 @@ from conftest import SCALE
 
 def test_ablation_skew(benchmark):
     result = benchmark.pedantic(
-        lambda: ablation_skewed_reads(scale=max(SCALE, 0.4)),
+        lambda: ablation_skewed_reads(scale=SCALE),
         rounds=1, iterations=1)
     print()
     print(render(result))

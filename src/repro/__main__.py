@@ -44,7 +44,7 @@ def _overview() -> None:
 def _demo() -> None:
     from .core import SpinnakerCluster, SpinnakerConfig
     from .sim.disk import DiskProfile
-    from .sim.process import spawn
+    from .sim.process import run_process
     from .sim.tracing import Tracer
 
     tracer = Tracer()
@@ -60,9 +60,8 @@ def _demo() -> None:
         got = yield from client.get(b"demo", b"v", consistent=True)
         return got
 
-    proc = spawn(cluster.sim, session())
-    cluster.run_until(lambda: proc.triggered, limit=30.0, what="demo ops")
-    print(f"wrote and read back: {proc.result().value!r}\n")
+    got = run_process(cluster.sim, session(), limit=30.0, what="demo ops")
+    print(f"wrote and read back: {got.value!r}\n")
     t_kill = cluster.sim.now
     victim = cluster.kill_leader(0)
     cluster.run_until(lambda: cluster.leader_of(0) is not None,

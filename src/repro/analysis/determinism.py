@@ -91,15 +91,15 @@ _REAL_IO_CALLS = {"open", "input", "print"}
 #: callables whose invocation inside a loop body makes the iteration
 #: order scheduling- or message-order-visible
 _EFFECT_NAMES = {
-    "spawn", "spawn_proc", "schedule", "call_at", "send", "request",
-    "respond", "interrupt", "crash", "restart", "boot", "lose_disk",
-    "expire_session_now", "succeed", "fail", "block", "heal",
+    "spawn", "spawn_proc", "run_process", "schedule", "call_at", "send",
+    "request", "respond", "interrupt", "crash", "restart", "boot",
+    "lose_disk", "expire_session_now", "succeed", "fail", "block", "heal",
     "set_drop_rate", "set_extra_delay", "step_down", "force", "append",
     # topology: placement insertion order is observable (placed_in_dc),
     # so placing endpoints while iterating a dict is a hazard
     "place",
 }
-_SPAWN_NAMES = {"spawn", "spawn_proc", "Process"}
+_SPAWN_NAMES = {"spawn", "spawn_proc", "run_process", "Process"}
 #: reducers whose result does not depend on iteration order
 _ORDER_INSENSITIVE = {"sorted", "len", "sum", "min", "max", "set",
                       "frozenset", "any", "all"}
@@ -138,8 +138,8 @@ def collect_spawned(tree: ast.AST) -> Set[str]:
     """Names of generator functions handed to ``spawn``-like calls.
 
     Matches ``spawn(sim, writer(...))``, ``self.spawn(self._flush(), ..)``,
-    ``Process(sim, gen(...))`` — the first ``Call`` argument names the
-    process body.
+    ``Process(sim, gen(...))``, ``run_process(sim, gen(...), ...)`` — the
+    first ``Call`` argument names the process body.
     """
     spawned: Set[str] = set()
     for node in ast.walk(tree):

@@ -7,6 +7,7 @@ from typing import Dict, List, Optional
 from ..core.partition import RangePartitioner
 from ..sim.events import Simulator
 from ..sim.network import LatencyModel, Network
+from ..sim.process import run_until
 from ..sim.rng import RngRegistry
 from .client import CassandraClient
 from .config import CassandraConfig
@@ -48,12 +49,7 @@ class CassandraCluster:
 
     def run_until(self, predicate, limit: float, step: float = 0.05,
                   what: str = "condition") -> None:
-        from ..sim.events import SimulationError
-        deadline = self.sim.now + limit
-        while not predicate():
-            if self.sim.now >= deadline:
-                raise SimulationError(f"timed out waiting for {what}")
-            self.sim.run(until=min(self.sim.now + step, deadline))
+        run_until(self.sim, predicate, limit, step=step, what=what)
 
     def client(self, name: str = "cclient0") -> CassandraClient:
         client = self._clients.get(name)

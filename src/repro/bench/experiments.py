@@ -19,13 +19,13 @@ from ..chaos.nemesis import FaultEvent, arm_schedule
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.checker import HistoryRecorder, check_strong_history
 from ..core.datamodel import DatastoreError, RequestTimeout
-from ..core.partition import key_of
 from ..core.rebalance import Rebalancer, plan_join
 from ..sim.disk import DiskProfile
 from ..sim.metrics import Histogram
-from ..sim.process import spawn, timeout
+from ..sim.process import run_process, spawn, timeout
 from ..sim.topology import Topology
-from .harness import CassandraTarget, LoadPoint, SpinnakerTarget, run_load
+from .harness import (CassandraTarget, LoadPoint, SpinnakerTarget,
+                      run_load, sweep)
 from .openloop import PoissonArrivals, run_open_load
 from .workload import (VALUE_SIZE, conditional_put_workload, mixed_workload,
                        read_workload, write_workload)
@@ -150,20 +150,15 @@ def fig8_read_latency(scale: float = 1.0, seed: int = 1,
     ops = _ops(scale)
     result = ExperimentResult("fig8", "Average read latency vs load")
 
-    def sweep_reads(label, factory, mode):
-        wl = read_workload(mode, preload_rows=500)
-        result.series[label] = [
-            run_load(factory(), wl, t, ops_per_thread=ops, warmup_ops=15)
-            for t in ths]
-
-    sweep_reads("spinnaker-consistent",
-                lambda: SpinnakerTarget(n_nodes, seed=seed), "strong")
-    sweep_reads("spinnaker-timeline",
-                lambda: SpinnakerTarget(n_nodes, seed=seed), "timeline")
-    sweep_reads("cassandra-quorum",
-                lambda: CassandraTarget(n_nodes, seed=seed), "quorum")
-    sweep_reads("cassandra-weak",
-                lambda: CassandraTarget(n_nodes, seed=seed), "weak")
+    for label, target, mode in (
+            ("spinnaker-consistent", SpinnakerTarget, "strong"),
+            ("spinnaker-timeline", SpinnakerTarget, "timeline"),
+            ("cassandra-quorum", CassandraTarget, "quorum"),
+            ("cassandra-weak", CassandraTarget, "weak")):
+        result.series[label] = sweep(
+            lambda target=target: target(n_nodes, seed=seed),
+            read_workload(mode, preload_rows=500), ths,
+            ops_per_thread=ops, warmup_ops=15)
 
     cons = result.series["spinnaker-consistent"]
     tl = result.series["spinnaker-timeline"]
@@ -198,17 +193,13 @@ def _write_sweep(result, ths, ops, spin_cfg=None, cass_cfg=None,
                  seed=1, n_nodes=10, spin_label="spinnaker-writes",
                  cass_label="cassandra-quorum-writes",
                  cass_mode="quorum", include_cassandra=True):
-    wl_spin = write_workload()
-    result.series[spin_label] = [
-        run_load(SpinnakerTarget(n_nodes, config=spin_cfg, seed=seed),
-                 wl_spin, t, ops_per_thread=ops, warmup_ops=10)
-        for t in ths]
+    result.series[spin_label] = sweep(
+        lambda: SpinnakerTarget(n_nodes, config=spin_cfg, seed=seed),
+        write_workload(), ths, ops_per_thread=ops)
     if include_cassandra:
-        wl_cass = write_workload(cass_mode)
-        result.series[cass_label] = [
-            run_load(CassandraTarget(n_nodes, config=cass_cfg, seed=seed),
-                     wl_cass, t, ops_per_thread=ops, warmup_ops=10)
-            for t in ths]
+        result.series[cass_label] = sweep(
+            lambda: CassandraTarget(n_nodes, config=cass_cfg, seed=seed),
+            write_workload(cass_mode), ths, ops_per_thread=ops)
 
 
 def fig9_write_latency(scale: float = 1.0, seed: int = 1,
@@ -282,14 +273,7 @@ def _measure_recovery(commit_period: float, seed: int,
     client = cluster.client("t1client")
     cohort_id = 0
     # A single client writes 4KB values routed to one cohort (§D.1).
-    keys = []
-    i = 0
-    while len(keys) < 5000:
-        key = b"t1-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 5000, b"t1-")
     stop = {"stop": False}
     value = b"x" * VALUE_SIZE
 
@@ -517,13 +501,11 @@ def fig14_conditional_put(scale: float = 1.0, seed: int = 1,
     ths = _threads([4, 8, 16, 32, 64, 96], scale)
     ops = _ops(scale, 40)
     result = ExperimentResult("fig14", "Conditional put vs regular put")
-    result.series["regular-put"] = [
-        run_load(SpinnakerTarget(n_nodes, seed=seed), write_workload(), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    result.series["conditional-put"] = [
-        run_load(SpinnakerTarget(n_nodes, seed=seed),
-                 conditional_put_workload(), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
+    for label, workload in (("regular-put", write_workload()),
+                            ("conditional-put", conditional_put_workload())):
+        result.series[label] = sweep(
+            lambda: SpinnakerTarget(n_nodes, seed=seed), workload, ths,
+            ops_per_thread=ops)
     reg = result.series["regular-put"]
     cond = result.series["conditional-put"]
     gaps = [c.mean_ms / r.mean_ms - 1.0 for c, r in zip(cond, reg)]
@@ -540,14 +522,10 @@ def fig15_weak_writes(scale: float = 1.0, seed: int = 1,
     ths = _threads([4, 8, 16, 32, 64, 96], scale)
     ops = _ops(scale, 40)
     result = ExperimentResult("fig15", "Cassandra weak vs quorum writes")
-    result.series["cassandra-weak-writes"] = [
-        run_load(CassandraTarget(n_nodes, seed=seed),
-                 write_workload("weak"), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
-    result.series["cassandra-quorum-writes"] = [
-        run_load(CassandraTarget(n_nodes, seed=seed),
-                 write_workload("quorum"), t,
-                 ops_per_thread=ops, warmup_ops=10) for t in ths]
+    for mode in ("weak", "quorum"):
+        result.series[f"cassandra-{mode}-writes"] = sweep(
+            lambda: CassandraTarget(n_nodes, seed=seed),
+            write_workload(mode), ths, ops_per_thread=ops)
     weak = result.series["cassandra-weak-writes"]
     quo = result.series["cassandra-quorum-writes"]
     gaps = [q.mean_ms / w.mean_ms - 1.0 for q, w in zip(quo, weak)]
@@ -564,10 +542,9 @@ def fig16_memory_log(scale: float = 1.0, seed: int = 1,
     ops = _ops(scale, 40)
     result = ExperimentResult("fig16", "Writes with a main-memory log")
     cfg = SpinnakerConfig(log_profile=DiskProfile.memory_log())
-    result.series["spinnaker-writes-memlog"] = [
-        run_load(SpinnakerTarget(n_nodes, config=cfg, seed=seed),
-                 write_workload(), t, ops_per_thread=ops, warmup_ops=10)
-        for t in ths]
+    result.series["spinnaker-writes-memlog"] = sweep(
+        lambda: SpinnakerTarget(n_nodes, config=cfg, seed=seed),
+        write_workload(), ths, ops_per_thread=ops)
     points = result.series["spinnaker-writes-memlog"]
     result.checks["around_2ms_before_knee"] = (
         min(p.mean_ms for p in points) <= 3.0)
@@ -589,10 +566,9 @@ def ablation_parallel_propose(scale: float = 1.0,
         "ablation-parallel", "Parallel vs serialized force+propose")
     for label, flag in (("parallel", True), ("serialized", False)):
         cfg = SpinnakerConfig(parallel_force_and_propose=flag)
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
+        result.series[label] = sweep(
+            lambda cfg=cfg: SpinnakerTarget(10, config=cfg, seed=seed),
+            write_workload(), ths, ops_per_thread=ops)
     par = result.series["parallel"]
     ser = result.series["serialized"]
     result.checks["parallel_is_faster"] = all(
@@ -612,10 +588,9 @@ def ablation_group_commit(scale: float = 1.0,
                               "Group commit on vs off")
     for label, flag in (("group-commit", True), ("no-group-commit", False)):
         cfg = SpinnakerConfig(group_commit=flag)
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
+        result.series[label] = sweep(
+            lambda cfg=cfg: SpinnakerTarget(10, config=cfg, seed=seed),
+            write_workload(), ths, ops_per_thread=ops)
     on = result.series["group-commit"]
     off = result.series["no-group-commit"]
     result.checks["group_commit_helps_under_load"] = (
@@ -662,7 +637,10 @@ def ablation_skewed_reads(scale: float = 1.0,
     the hot range's leader, while timeline reads spread the hot range
     over its three replicas — quantifying the §8.3 trade-off ("all the
     reads for a cohort have to be routed to the cohort's leader")."""
-    ths = _threads([64, 160, 256], scale)
+    # Skew only shows once the hot leader saturates (~100 closed-loop
+    # threads), so the thread sweep never shrinks below scale 0.4;
+    # smaller scales only cut the ops per thread.
+    ths = _threads([64, 160, 256], max(scale, 0.4))
     ops = _ops(scale, 40)
     result = ExperimentResult(
         "ablation-skew", "Uniform vs Zipfian reads (strong vs timeline)")
@@ -672,9 +650,9 @@ def ablation_skewed_reads(scale: float = 1.0,
             ("timeline-zipfian", "timeline", "zipfian")):
         wl = read_workload(mode, preload_rows=500)
         wl.key_distribution = dist
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, seed=seed), wl, t,
-                     ops_per_thread=ops, warmup_ops=15) for t in ths]
+        result.series[label] = sweep(
+            lambda: SpinnakerTarget(10, seed=seed), wl, ths,
+            ops_per_thread=ops, warmup_ops=15)
     uniform = result.series["strong-uniform"]
     skewed = result.series["strong-zipfian"]
     timeline = result.series["timeline-zipfian"]
@@ -712,10 +690,9 @@ def ablation_batching(scale: float = 1.0,
             cfg.propose_batching = False
         else:
             cfg.propose_batch_max_records = cap
-        result.series[label] = [
-            run_load(SpinnakerTarget(10, config=cfg, seed=seed),
-                     write_workload(), t, ops_per_thread=ops,
-                     warmup_ops=10) for t in ths]
+        result.series[label] = sweep(
+            lambda cfg=cfg: SpinnakerTarget(10, config=cfg, seed=seed),
+            write_workload(), ths, ops_per_thread=ops)
     off = result.series["batching-off"]
     b8 = result.series["batch-8"]
     peak_off, peak_b8 = _max_load(off), _max_load(b8)
@@ -755,18 +732,6 @@ def _elastic_config() -> SpinnakerConfig:
     return cfg
 
 
-def _keys_in_cohort(cluster, cohort_id: int, count: int,
-                    prefix: bytes) -> List[bytes]:
-    keys, i = [], 0
-    while len(keys) < count:
-        key = prefix + b"%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def _observed_heat(cluster) -> Dict[int, float]:
     """Per-cohort load from the replicas' served-op counters — the
     planner input, measured rather than assumed."""
@@ -785,15 +750,12 @@ def _elastic_chaos_move(seed: int, crash_joiner: bool):
                                seed=seed)
     cluster.start()
     client = cluster.client("chaos-seed")
-    keys = _keys_in_cohort(cluster, 0, 10, b"chaos-")
+    keys = cluster.partitioner.keys_in_cohort(0, 10, b"chaos-")
 
     def writer():
         for key in keys:
             yield from client.put(key, b"v", b"x")
-    proc = spawn(cluster.sim, writer())
-    cluster.run_until(lambda: proc.triggered, limit=120.0,
-                      what="chaos preload")
-    proc.result()
+    run_process(cluster.sim, writer(), limit=120.0, what="chaos preload")
 
     cluster.add_node("node5")
     plans = plan_join(cluster.partitioner, ["node5"],
@@ -808,8 +770,7 @@ def _elastic_chaos_move(seed: int, crash_joiner: bool):
                       what="first migration attempt")
     cluster.run(0.05)                   # land the crash mid-move
     if crash_joiner:
-        cluster.crash_node("node5")
-        cluster.expire_session_of("node5")
+        cluster.crash_node("node5", skip_detection=True)
         cluster.run(1.0)
         cluster.restart_node("node5")
     else:
@@ -817,9 +778,7 @@ def _elastic_chaos_move(seed: int, crash_joiner: bool):
         cluster.run(1.0)
         if killed is not None:
             cluster.restart_node(killed)
-    cluster.run_until(lambda: move.triggered, limit=300.0,
-                      what="chaos rebalance")
-    move.result()
+    run_process(cluster.sim, move, limit=300.0, what="chaos rebalance")
     cluster.run(2.0)                    # settle before the final audit
     audit_proc.interrupt("done")
     auditor.final_audit()
@@ -846,7 +805,7 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     sim = cluster.sim
     rng_master = cluster.rng.fork(f"elastic-{seed}")
     value = b"x" * VALUE_SIZE
-    hot_keys = _keys_in_cohort(cluster, 0, 24, b"ek-")
+    hot_keys = cluster.partitioner.keys_in_cohort(0, 24, b"ek-")
     cold_keys = [b"ck-%d" % i for i in range(48)]
 
     seeder = cluster.client("elastic-seed")
@@ -854,10 +813,7 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     def preload():
         for key in hot_keys + cold_keys:
             yield from seeder.put(key, b"v", value)
-    proc = spawn(sim, preload())
-    cluster.run_until(lambda: proc.triggered, limit=300.0,
-                      what="elastic preload")
-    proc.result()
+    run_process(sim, preload(), limit=300.0, what="elastic preload")
 
     stop = {"flag": False}
     stats = {"ops": 0, "failed_strong": 0, "failed_writes": 0,
@@ -900,10 +856,8 @@ def fig11_elastic(scale: float = 1.0, seed: int = 1) -> ExperimentResult:
     plans = plan_join(cluster.partitioner, ["node5", "node6"], heat=heat)
     reb = Rebalancer(cluster)
     move_t0, move_ops0 = sim.now, stats["ops"]
-    move = spawn(sim, reb.execute(plans, move_timeout=300.0))
-    cluster.run_until(lambda: move.triggered, limit=900.0,
-                      what="elastic rebalance")
-    move.result()
+    run_process(sim, reb.execute(plans, move_timeout=300.0), limit=900.0,
+                what="elastic rebalance")
     move_dt = sim.now - move_t0
     during = ((stats["ops"] - move_ops0) / move_dt if move_dt > 0
               else 0.0)
@@ -983,7 +937,7 @@ def _measure_rejoin(seed: int, history_rounds: int,
     sim = cluster.sim
     # Enough distinct keys that one round exceeds the flush threshold
     # (the memtable counts live cells, so overwrites don't accumulate).
-    keys = _keys_in_cohort(cluster, 0, 30, b"fr-")
+    keys = cluster.partitioner.keys_in_cohort(0, 30, b"fr-")
     client = cluster.client("fr-writer")
 
     def burst(rounds: int, tag: bytes):
@@ -992,21 +946,16 @@ def _measure_rejoin(seed: int, history_rounds: int,
                 yield from client.put(key, b"c",
                                       tag + b"-%d" % r + b"x" * 200)
 
-    proc = spawn(sim, burst(history_rounds, b"hist"), name="fr-history")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery history")
-    proc.result()
+    run_process(sim, burst(history_rounds, b"hist"), limit=600.0,
+                what="fig-recovery history")
 
     # The victim misses a fixed-size gap — identical at both histories.
     leader = cluster.leader_of(0)
     victim = next(m for m in cluster.partitioner.cohort(0).members
                   if m != leader)
-    cluster.crash_node(victim)
-    cluster.expire_session_of(victim)
-    proc = spawn(sim, burst(gap_rounds, b"gap"), name="fr-gap")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery gap writes")
-    proc.result()
+    cluster.crash_node(victim, skip_detection=True)
+    run_process(sim, burst(gap_rounds, b"gap"), limit=600.0,
+                what="fig-recovery gap writes")
 
     leader_node = cluster.nodes[cluster.leader_of(0)]
     leader_records = len(leader_node.wal.write_records(0))
@@ -1042,7 +991,7 @@ def _measure_elastic_ramp(seed: int,
                                seed=seed)
     cluster.start()
     sim = cluster.sim
-    keys = _keys_in_cohort(cluster, 0, 30, b"fr-")
+    keys = cluster.partitioner.keys_in_cohort(0, 30, b"fr-")
     client = cluster.client("fr-elastic")
 
     def burst():
@@ -1051,10 +1000,8 @@ def _measure_elastic_ramp(seed: int,
                 yield from client.put(key, b"c",
                                       b"e-%d" % r + b"x" * 200)
 
-    proc = spawn(sim, burst(), name="fr-elastic-history")
-    cluster.run_until(lambda: proc.triggered, limit=600.0,
-                      what="fig-recovery elastic history")
-    proc.result()
+    run_process(sim, burst(), limit=600.0,
+                what="fig-recovery elastic history")
 
     auditor = InvariantAuditor(cluster)
     audit = spawn(sim, auditor.run(period=0.25))
@@ -1065,10 +1012,8 @@ def _measure_elastic_ramp(seed: int,
                             for c in cluster.partitioner.cohorts})
     reb = Rebalancer(cluster)
     t0 = sim.now
-    move = spawn(sim, reb.execute(plans, move_timeout=240.0))
-    cluster.run_until(lambda: move.triggered, limit=300.0,
-                      what="fig-recovery elastic move")
-    move.result()
+    run_process(sim, reb.execute(plans, move_timeout=240.0), limit=300.0,
+                what="fig-recovery elastic move")
     move_s = sim.now - t0
     cluster.run(1.0)
     audit.interrupt("done")
@@ -1184,7 +1129,7 @@ def _wan_keys(cluster, topo: Topology, dc: str, count: int,
     i = 0
     while len(keys) < count and i < 4096:
         key = b"%s-%d" % (prefix, i)
-        cohort = cluster.partitioner.cohort_for_key(key_of(key))
+        cohort = cluster.partitioner.locate(key)
         leader = cluster.leader_of(cohort.cohort_id)
         if leader is not None and topo.dc_of(leader) == dc:
             keys.append(key)
@@ -1215,13 +1160,11 @@ def _timed_phase(cluster, client, op, keys: List[bytes], count: int,
     """Drive ``count`` paced ops to completion; (Histogram, failures)."""
     hist = Histogram()
     failures = [0]
-    proc = spawn(cluster.sim,
-                 _op_loop(cluster, client, op, keys, count, pace,
-                          hist, failures),
-                 name=f"wan-ops-{client.name}")
-    cluster.run_until(lambda: proc.triggered,
-                      limit=count * (pace + 5.0) + 30.0,
-                      what=f"wan ops via {client.name}")
+    run_process(cluster.sim,
+                _op_loop(cluster, client, op, keys, count, pace, hist,
+                         failures),
+                limit=count * (pace + 5.0) + 30.0,
+                what=f"wan ops via {client.name}")
     return hist, failures[0]
 
 

@@ -233,8 +233,6 @@ def run_load(target, workload: Workload, threads: int,
     target.start()
 
     hist = Histogram()
-    per_op: Dict[str, Histogram] = {"read": Histogram(),
-                                    "write": Histogram()}
     stats = {"errors": 0, "conflicts": 0, "done": 0,
              "first_ts": None, "last_ts": None}
 
@@ -258,9 +256,7 @@ def run_load(target, workload: Workload, threads: int,
                 continue
             if i < warmup_ops:
                 continue
-            latency = sim.now - start
-            hist.add(latency)
-            per_op["write" if is_write else "read"].add(latency)
+            hist.add(sim.now - start)
             if stats["first_ts"] is None:
                 stats["first_ts"] = sim.now
             stats["last_ts"] = sim.now

@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..core import Role, SpinnakerCluster, SpinnakerConfig
-from ..core.partition import key_of
 from ..sim.disk import DiskProfile
 from ..sim.events import SimulationError
-from ..sim.process import spawn, timeout
+from ..sim.process import run_process, spawn
 from ..storage.lsn import LSN
 from .invariants import InvariantAuditor, InvariantViolation
 
@@ -74,19 +73,6 @@ class CatchupChaosResult:
         return "\n".join(lines)
 
 
-def _cohort_keys(cluster: SpinnakerCluster, cohort_id: int,
-                 count: int) -> List[bytes]:
-    keys: List[bytes] = []
-    i = 0
-    while len(keys) < count:
-        key = b"cc-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def _write_burst(cluster: SpinnakerCluster, keys: List[bytes],
                  rounds: int, tag: bytes, limit: float = 120.0) -> None:
     """Write ``rounds`` values to every key, synchronously."""
@@ -98,9 +84,8 @@ def _write_burst(cluster: SpinnakerCluster, keys: List[bytes],
                 yield from client.put(key, b"c",
                                       tag + b"-%d" % r + b"x" * 200)
 
-    proc = spawn(cluster.sim, _go(), name="cc-burst")
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="catch-up chaos write burst")
+    run_process(cluster.sim, _go(), limit=limit,
+                what="catch-up chaos write burst")
 
 
 def _served_to(cluster: SpinnakerCluster, victim: str,
@@ -151,13 +136,12 @@ def run_catchup_chaos(seed: int,
     victim = next(m for m in members if m != leader)
     # Enough distinct keys that one write round exceeds the flush
     # threshold (the memtable counts live cells, not appended bytes).
-    keys = _cohort_keys(cluster, COHORT, 30)
+    keys = cluster.partitioner.keys_in_cohort(COHORT, 30, b"cc-")
 
     # 1. The victim falls far behind: crash it, then push enough history
     #    that the leader flushes repeatedly and rolls its log past the
     #    victim's commit point.
-    cluster.crash_node(victim)
-    cluster.expire_session_of(victim)
+    cluster.crash_node(victim, skip_detection=True)
     note(f"crashed {victim}; writing history past its log")
     _write_burst(cluster, keys, rounds=16, tag=b"pre")
     leader_node = cluster.nodes[cluster.leader_of(COHORT)]
@@ -184,8 +168,7 @@ def run_catchup_chaos(seed: int,
 
     # 3. The fault.
     if scenario == "crash-follower":
-        cluster.crash_node(victim)
-        cluster.expire_session_of(victim)
+        cluster.crash_node(victim, skip_detection=True)
         # wal.crash() just recomputed the floor from *durable* markers:
         # this is exactly what the restarted incarnation may assume.
         resume_floor = cluster.nodes[victim].wal.catchup_floor(COHORT)

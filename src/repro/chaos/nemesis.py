@@ -34,10 +34,9 @@ from typing import Dict, List, Optional, Tuple
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.checker import HistoryRecorder, check_strong_history
 from ..core.datamodel import DatastoreError
-from ..core.partition import key_of
 from ..sim.disk import DiskProfile
 from ..sim.events import SimulationError
-from ..sim.process import spawn, timeout
+from ..sim.process import run_process, spawn, timeout
 from ..sim.rng import RngRegistry
 from .invariants import InvariantAuditor, InvariantViolation
 
@@ -300,14 +299,10 @@ class _Applier:
     def _crash(self, name: str, duration: float,
                fast_detect: bool, why: str) -> None:
         cluster = self.cluster
-        node = cluster.nodes[name]
-        if not node.alive:
+        if not cluster.nodes[name].alive:
             self._note(f"{why}: {name} already down, skipped")
             return
-        session = node.zk.session if node.zk else None
-        node.crash()
-        if fast_detect and session is not None:
-            cluster.coord.expire_session_now(session)
+        cluster.crash_node(name, skip_detection=fast_detect)
         self._note(f"{why}: crashed {name} for {duration:.2f}s "
                    f"({'fast' if fast_detect else 'slow'}-detect)")
         cluster.sim.schedule(duration, lambda: self._restart(name))
@@ -334,14 +329,11 @@ class _Applier:
             self._crash(ev.node, ev.duration, ev.fast_detect,
                         "crash-node")
         elif ev.kind == "lose-disk":
-            node = cluster.nodes[ev.node]
-            if not node.alive:
+            if not cluster.nodes[ev.node].alive:
                 self._note(f"lose-disk: {ev.node} already down, skipped")
                 return
-            session = node.zk.session if node.zk else None
-            node.lose_disk()
-            if session is not None:
-                cluster.coord.expire_session_now(session)
+            cluster.crash_node(ev.node, skip_detection=True,
+                               lose_disk=True)
             self._note(f"lose-disk: wiped {ev.node}, rebooting empty")
         elif ev.kind in ("partition", "partition-oneway"):
             symmetric = ev.kind == "partition"
@@ -452,19 +444,6 @@ def arm_schedule(cluster: SpinnakerCluster, schedule: List[FaultEvent],
 # The workload
 # ---------------------------------------------------------------------------
 
-def _cohort_keys(cluster: SpinnakerCluster, cohort_id: int,
-                 count: int) -> List[bytes]:
-    keys: List[bytes] = []
-    i = 0
-    while len(keys) < count:
-        key = b"chaos-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 class _Workload:
     """Writers and readers over a fixed key set, recording history and
     the acknowledged-write map keyed by version."""
@@ -484,8 +463,8 @@ class _Workload:
         self.keys: List[bytes] = []
         n_cohorts = len(cluster.partitioner.cohorts)
         for c in range(min(config.cohorts_used, n_cohorts)):
-            self.keys.extend(_cohort_keys(cluster, c,
-                                          config.keys_per_cohort))
+            self.keys.extend(cluster.partitioner.keys_in_cohort(
+                c, config.keys_per_cohort, b"chaos-"))
         self.procs = []
 
     def start(self) -> None:
@@ -704,14 +683,13 @@ def _read_back(cluster: SpinnakerCluster,
                 results[key] = err
         return results
 
-    proc = spawn(sim, read_all(), name="chaos-readback")
     try:
-        cluster.run_until(lambda: proc.triggered, limit=120.0,
-                          what="durability read-back")
+        results = run_process(sim, read_all(), limit=120.0,
+                              what="durability read-back")
     except SimulationError:
         return [f"read-back did not finish by t={sim.now:.4f}"]
     # lint: allow(dict-order) — read_all fills results in sorted key order
-    for key, got in proc.result().items():
+    for key, got in results.items():
         versions = workload.acked[key]
         top = max(versions)
         if isinstance(got, DatastoreError):

@@ -11,8 +11,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..coord.service import CoordinationService
-from ..sim.events import SimulationError, Simulator
+from ..sim.events import Simulator
 from ..sim.network import LatencyModel, Network
+from ..sim.process import run_until
 from ..sim.rng import RngRegistry
 from ..sim.tracing import NullTracer
 from .api import SpinnakerClient
@@ -86,12 +87,7 @@ class SpinnakerCluster:
     def run_until(self, predicate: Callable[[], bool], limit: float,
                   step: float = 0.05, what: str = "condition") -> None:
         """Advance simulated time until ``predicate()`` or ``limit``."""
-        deadline = self.sim.now + limit
-        while not predicate():
-            if self.sim.now >= deadline:
-                raise SimulationError(
-                    f"timed out waiting for {what} at t={self.sim.now}")
-            self.sim.run(until=min(self.sim.now + step, deadline))
+        run_until(self.sim, predicate, limit, step=step, what=what)
 
     def run(self, duration: float) -> None:
         self.sim.run(until=self.sim.now + duration)
@@ -196,31 +192,30 @@ class SpinnakerCluster:
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
-    def crash_node(self, name: str) -> None:
-        self.nodes[name].crash()
+    def crash_node(self, name: str, skip_detection: bool = False,
+                   lose_disk: bool = False) -> None:
+        """Fail-stop the node (``lose_disk``: also wipe its storage and
+        reboot it empty).  ``skip_detection`` expires the crashed
+        incarnation's coordination session at once instead of letting
+        it time out — Table 1 excludes the detection timeout from
+        recovery time."""
+        node = self.nodes[name]
+        # Captured before the crash: crashing drops the node's client.
+        session = node.zk.session if node.zk is not None else None
+        if lose_disk:
+            node.lose_disk()
+        else:
+            node.crash()
+        if skip_detection and session is not None:
+            self.coord.expire_session_now(session)
 
     def restart_node(self, name: str) -> None:
         self.nodes[name].restart()
-
-    def expire_session_of(self, name: str) -> None:
-        """Expire the node's coordination session immediately (skips the
-        detection timeout — Table 1 excludes it from recovery time)."""
-        node = self.nodes[name]
-        session = None
-        if node.zk is not None:
-            session = node.zk.session
-        if session is not None:
-            self.coord.expire_session_now(session)
 
     def kill_leader(self, cohort_id: int,
                     skip_detection: bool = True) -> Optional[str]:
         """Crash the cohort's current leader; returns its name."""
         leader = self.leader_of(cohort_id)
-        if leader is None:
-            return None
-        node = self.nodes[leader]
-        session = node.zk.session if node.zk else None
-        node.crash()
-        if skip_detection and session is not None:
-            self.coord.expire_session_now(session)
+        if leader is not None:
+            self.crash_node(leader, skip_detection=skip_detection)
         return leader

@@ -401,6 +401,20 @@ class RangePartitioner:
         """The cohort responsible for a row key (via the key mapper)."""
         return self.cohort_for_key(self.key_mapper(row_key))
 
+    def keys_in_cohort(self, cohort_id: int, count: int,
+                       prefix: bytes) -> List[bytes]:
+        """The first ``count`` keys ``prefix + b"%d" % i`` (i = 0, 1, ...)
+        that :meth:`locate` routes to the cohort — deterministic key
+        sets for tests, chaos workloads and experiments."""
+        keys: List[bytes] = []
+        i = 0
+        while len(keys) < count:
+            key = prefix + b"%d" % i
+            if self.locate(key).cohort_id == cohort_id:
+                keys.append(key)
+            i += 1
+        return keys
+
     def cohorts_for_range(self, start_key: bytes,
                           end_key: bytes) -> List[Cohort]:
         """Cohorts intersecting [start_key, end_key), in key order.

@@ -14,7 +14,7 @@ from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
 from .topology import Placement, Topology
 from .disk import DataDisk, DiskProfile, LogDevice
-from .metrics import Histogram, LatencyRecorder, summarize
+from .metrics import Histogram
 from .failure import FailureSchedule
 from .tracing import NullTracer, TraceEvent, Tracer
 
@@ -27,7 +27,7 @@ __all__ = [
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",
     "Topology", "Placement",
     "LogDevice", "DataDisk", "DiskProfile",
-    "Histogram", "LatencyRecorder", "summarize",
+    "Histogram",
     "FailureSchedule",
     "Tracer", "NullTracer", "TraceEvent",
 ]

@@ -1,18 +1,17 @@
-"""Measurement utilities: latency recorders, histograms, throughput.
+"""Latency histograms.
 
 The paper reports *average operation latency* (client round trip) against
 *system load* (measured completed requests/second), sweeping load by
-doubling the number of client threads (Appendix C).  These classes collect
-exactly those quantities, with warm-up exclusion so queue build-up during
-ramp-up does not pollute the steady-state averages.
+doubling the number of client threads (Appendix C).  :class:`Histogram`
+holds the latency samples behind those averages and their percentiles.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional
 
-__all__ = ["LatencyRecorder", "Histogram", "summarize"]
+__all__ = ["Histogram"]
 
 
 class Histogram:
@@ -74,73 +73,3 @@ class Histogram:
 
     def max(self) -> float:
         return max(self._samples) if self._samples else float("nan")
-
-
-class LatencyRecorder:
-    """Per-operation latency samples, bucketed by operation label.
-
-    ``warmup`` seconds of simulated time are discarded; ``record`` must be
-    given the *completion* time of the operation.
-    """
-
-    def __init__(self, warmup: float = 0.0):
-        self.warmup = warmup
-        self._hist: Dict[str, Histogram] = {}
-        self._first_ts: Optional[float] = None
-        self._last_ts: Optional[float] = None
-        self.dropped_warmup = 0
-
-    def record(self, op: str, latency: float, completed_at: float) -> None:
-        if completed_at < self.warmup:
-            self.dropped_warmup += 1
-            return
-        hist = self._hist.get(op)
-        if hist is None:
-            hist = self._hist[op] = Histogram()
-        hist.add(latency)
-        if self._first_ts is None:
-            self._first_ts = completed_at
-        self._last_ts = completed_at
-
-    # -- summaries -------------------------------------------------------
-    def ops(self) -> Sequence[str]:
-        return list(self._hist)
-
-    def histogram(self, op: str) -> Histogram:
-        return self._hist.setdefault(op, Histogram())
-
-    def count(self, op: Optional[str] = None) -> int:
-        if op is not None:
-            return self.histogram(op).count
-        return sum(h.count for h in self._hist.values())
-
-    def mean_latency(self, op: Optional[str] = None) -> float:
-        if op is not None:
-            return self.histogram(op).mean()
-        total = self.count()
-        if total == 0:
-            return float("nan")
-        return sum(h.mean() * h.count for h in self._hist.values()) / total
-
-    def throughput(self) -> float:
-        """Completed operations per second over the measured window."""
-        if (self._first_ts is None or self._last_ts is None
-                or self._last_ts <= self._first_ts):
-            return 0.0
-        return self.count() / (self._last_ts - self._first_ts)
-
-
-def summarize(recorder: LatencyRecorder) -> Dict[str, Dict[str, float]]:
-    """A plain-dict summary, convenient for report printing and tests."""
-    out: Dict[str, Dict[str, float]] = {}
-    for op in recorder.ops():
-        hist = recorder.histogram(op)
-        out[op] = {
-            "count": hist.count,
-            "mean_ms": hist.mean() * 1e3,
-            "p50_ms": hist.percentile(50) * 1e3,
-            "p95_ms": hist.percentile(95) * 1e3,
-            "p99_ms": hist.percentile(99) * 1e3,
-            "max_ms": hist.max() * 1e3,
-        }
-    return out

@@ -42,7 +42,7 @@ numbers, so traces are bit-identical with the straightforward path.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Any, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from .events import NORMAL, URGENT, Event, SimulationError, Simulator
 
@@ -54,6 +54,8 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "spawn",
+    "run_until",
+    "run_process",
     "timeout",
     "all_of",
     "any_of",
@@ -339,6 +341,37 @@ def spawn(sim: Simulator, gen: Generator[Event, Any, Any],
           name: str = "") -> Process:
     """Start a new process from a generator."""
     return Process(sim, gen, name=name)
+
+
+def run_until(sim: Simulator, predicate: Callable[[], bool], limit: float,
+              step: float = 0.05, what: str = "condition") -> None:
+    """Advance ``sim`` in ``step``-second slices until ``predicate()``.
+
+    The predicate is checked only between slices, so the clock stops at
+    the first slice boundary after it turns true (not at the instant it
+    does).  Raises :class:`SimulationError` naming ``what`` once
+    ``limit`` simulated seconds pass without it holding.
+    """
+    deadline = sim.now + limit
+    while not predicate():
+        if sim.now >= deadline:
+            raise SimulationError(
+                f"timed out waiting for {what} at t={sim.now}")
+        sim.run(until=min(sim.now + step, deadline))
+
+
+def run_process(sim: Simulator, gen: Any, limit: float,
+                what: str = "process") -> Any:
+    """Run a process until it finishes and return its result.
+
+    ``gen`` is a generator to spawn or an already running
+    :class:`Process`.  Polls like :func:`run_until`; the process's own
+    exception is re-raised, and a process still running after ``limit``
+    raises :class:`SimulationError` naming ``what``.
+    """
+    proc = gen if isinstance(gen, Process) else spawn(sim, gen)
+    run_until(sim, lambda: proc.triggered, limit, what=what)
+    return proc.result()
 
 
 def timeout(sim: Simulator, delay: float, value: Any = None) -> Timeout:

@@ -6,7 +6,7 @@ import pytest
 from repro.baseline import QUORUM, WEAK, CassandraCluster, CassandraConfig
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 def make_cluster(**overrides):
@@ -15,12 +15,6 @@ def make_cluster(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return CassandraCluster(n_nodes=5, config=cfg, seed=17)
-
-
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="op")
-    return proc.result()
 
 
 def group_of(cluster, key):
@@ -37,7 +31,7 @@ def test_hint_stored_for_dead_replica():
     def write_it():
         yield from client.write(b"h1", b"c", b"v", consistency=QUORUM)
 
-    run(cluster, write_it())
+    run_process(cluster.sim, write_it(), 60.0)
     cluster.run(1.0)  # hint_timeout elapses
     hinted = sum(len(hints) for name, node in cluster.nodes.items()
                  if node.alive
@@ -56,7 +50,7 @@ def test_hint_replay_converges_restarted_replica():
     def write_it():
         yield from client.write(b"h2", b"c", b"v", consistency=QUORUM)
 
-    run(cluster, write_it())
+    run_process(cluster.sim, write_it(), 60.0)
     cluster.run(1.0)
     cluster.restart_node(dead)
     assert cluster.nodes[dead].engines[gid].get(b"h2", b"c") is None
@@ -82,8 +76,7 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
         node = cluster.nodes[member]
         if member == stale_holder:
             continue
-        proc = spawn(cluster.sim, node._apply_write_locally(fresh))
-        cluster.run_until(lambda: proc.triggered, limit=10.0, what="seed")
+        run_process(cluster.sim, node._apply_write_locally(fresh), 10.0)
     coordinator = cluster.nodes[cohort.members[1]]
     from repro.baseline.messages import CoordRead
 
@@ -97,8 +90,7 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
             self.responses.append(value)
 
     req = FakeReq()
-    proc = spawn(cluster.sim, coordinator._coordinate_read(req))
-    cluster.run_until(lambda: proc.triggered, limit=10.0, what="read")
+    run_process(cluster.sim, coordinator._coordinate_read(req), 10.0)
     # Run reads until the stale replica was actually contacted (the
     # remote pick is the first other member).
     repaired = False
@@ -109,8 +101,7 @@ def test_read_repair_counter_increments_on_stale_quorum_member():
             repaired = True
             break
         req2 = FakeReq()
-        proc = spawn(cluster.sim, coordinator._coordinate_read(req2))
-        cluster.run_until(lambda: proc.triggered, limit=10.0, what="read")
+        run_process(cluster.sim, coordinator._coordinate_read(req2), 10.0)
     assert repaired
     assert any(node.read_repairs > 0 for node in cluster.nodes.values())
 
@@ -128,7 +119,7 @@ def test_suspicion_routes_quorum_reads_around_dead_replica():
         second = yield from client.read(b"s1", b"c", consistency=QUORUM)
         return first, second
 
-    first, second = run(cluster, ops(), limit=120.0)
+    first, second = run_process(cluster.sim, ops(), 120.0)
     assert first.found and second.found
     suspecting = [node for node in cluster.nodes.values()
                   if node.alive and dead in node.suspected]
@@ -164,9 +155,8 @@ def test_weak_write_data_loss_window():
         def respond(self, value, size=0):
             FakeReq.responses.append(value)
 
-    proc = spawn(cluster.sim,
-                 cluster.nodes[coordinator]._coordinate_write(FakeReq()))
-    cluster.run_until(lambda: proc.triggered, limit=10.0, what="weak write")
+    run_process(cluster.sim,
+                cluster.nodes[coordinator]._coordinate_write(FakeReq()), 10.0)
     assert FakeReq.responses and FakeReq.responses[0]["ok"]
     # The acknowledged write lives on exactly one replica...
     holders = [m for m in cohort.members
@@ -179,5 +169,5 @@ def test_weak_write_data_loss_window():
     def read_survivors():
         return (yield from client.read(b"wl", b"c", consistency=QUORUM))
 
-    got = run(cluster, read_survivors(), limit=60.0)
+    got = run_process(cluster.sim, read_survivors(), 60.0)
     assert not got.found  # committed-and-acknowledged, yet lost

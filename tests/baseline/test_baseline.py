@@ -5,7 +5,7 @@ import pytest
 from repro.baseline import (QUORUM, WEAK, CassandraCluster,
                             CassandraConfig)
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 def fast_config(**overrides):
@@ -20,12 +20,6 @@ def make_cluster(n=5, **overrides):
                             seed=11)
 
 
-def run_client(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="client op")
-    return proc.result()
-
-
 def test_quorum_write_then_quorum_read():
     cluster = make_cluster()
     client = cluster.client()
@@ -34,7 +28,7 @@ def test_quorum_write_then_quorum_read():
         yield from client.write(b"k", b"c", b"v", consistency=QUORUM)
         return (yield from client.read(b"k", b"c", consistency=QUORUM))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.found and got.value == b"v"
     assert cluster.all_failures() == []
 
@@ -48,7 +42,7 @@ def test_weak_write_then_weak_read_usually_converges():
         # All replicas still receive the write; give them a moment.
         return True
 
-    run_client(cluster, scenario())
+    run_process(cluster.sim, scenario(), 60.0)
     cluster.run(1.0)
     members = cluster.partitioner.cohort_for_key(
         __import__("repro.core.partition", fromlist=["key_of"]
@@ -70,7 +64,7 @@ def test_last_write_wins_on_conflict():
         yield from client.write(b"k", b"c", b"new", consistency=QUORUM)
         return (yield from client.read(b"k", b"c", consistency=QUORUM))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"new"
 
 
@@ -83,7 +77,7 @@ def test_delete_with_tombstone():
         yield from client.delete(b"k", b"c", consistency=QUORUM)
         return (yield from client.read(b"k", b"c", consistency=QUORUM))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert not got.found
 
 
@@ -98,7 +92,7 @@ def test_quorum_ops_survive_one_node_down():
         yield from client.write(b"k", b"c", b"v", consistency=QUORUM)
         return (yield from client.read(b"k", b"c", consistency=QUORUM))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.found and got.value == b"v"
 
 
@@ -117,7 +111,7 @@ def test_replica_stays_stale_until_anti_entropy():
     def write_it():
         yield from client.write(b"k", b"c", b"v", consistency=QUORUM)
 
-    run_client(cluster, write_it())
+    run_process(cluster.sim, write_it(), 60.0)
     cluster.restart_node(lagger)
     # Stale right after restart: local log replay knows nothing of b"k".
     assert cluster.nodes[lagger].engines[gid].get(b"k", b"c") is None
@@ -140,7 +134,7 @@ def test_read_repair_fixes_stale_replica():
     def write_it():
         yield from client.write(b"rr", b"c", b"v", consistency=QUORUM)
 
-    run_client(cluster, write_it())
+    run_process(cluster.sim, write_it(), 60.0)
     cluster.network.heal()
     # Quorum reads from the two up-to-date replicas never touch the
     # laggard; force many quorum reads from random coordinators until a
@@ -149,7 +143,7 @@ def test_read_repair_fixes_stale_replica():
         for _ in range(30):
             yield from client.read(b"rr", b"c", consistency=QUORUM)
 
-    run_client(cluster, read_lots())
+    run_process(cluster.sim, read_lots(), 60.0)
     cluster.run(15.0)  # hint replay interval
     cell = cluster.nodes[lagger].engines[gid].get(b"rr", b"c")
     assert cell is not None and cell.value == b"v"
@@ -165,7 +159,7 @@ def test_restarted_node_replays_its_local_log():
     def write_it():
         yield from client.write(b"k", b"c", b"v", consistency=QUORUM)
 
-    run_client(cluster, write_it())
+    run_process(cluster.sim, write_it(), 60.0)
     cluster.run(0.5)
     victim = cohort.members[0]
     cluster.crash_node(victim)
@@ -192,11 +186,11 @@ def test_unavailable_when_quorum_unreachable():
         except RequestTimeout:
             return "timeout"
 
-    assert run_client(cluster, scenario(), limit=30.0) == "timeout"
+    assert run_process(cluster.sim, scenario(), 30.0) == "timeout"
 
     def weak_still_works():
         yield from client.write(b"k2", b"c", b"v", consistency=WEAK)
         return "ok"
 
     # Weak writes need only 1 ack: still available with 1 replica up.
-    assert run_client(cluster, weak_still_works(), limit=30.0) == "ok"
+    assert run_process(cluster.sim, weak_still_works(), 30.0) == "ok"

@@ -6,7 +6,7 @@ from repro.core import (RequestTimeout, SpinnakerCluster, SpinnakerConfig,
                         VersionMismatch)
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 def make_cluster(**overrides):
@@ -17,12 +17,6 @@ def make_cluster(**overrides):
     cluster = SpinnakerCluster(n_nodes=5, config=cfg, seed=31)
     cluster.start()
     return cluster
-
-
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="client op")
-    return proc.result()
 
 
 def test_leader_cache_learns_from_redirects():
@@ -38,7 +32,7 @@ def test_leader_cache_learns_from_redirects():
     def scenario():
         yield from client.put(key, b"c", b"v")
 
-    run(cluster, scenario())
+    run_process(cluster.sim, scenario(), 60.0)
     assert client._leader_cache[cohort.cohort_id] == leader
     assert client.retries >= 1
 
@@ -56,7 +50,7 @@ def test_strong_read_follows_hint_not_blind_cycling():
         yield from client.put(key, b"c", b"v")
         return (yield from client.get(key, b"c", consistent=True))
 
-    got = run(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"v"
 
 
@@ -71,7 +65,7 @@ def test_timeline_reads_are_spread_across_replicas():
         # Let commit messages reach followers.
         return True
 
-    run(cluster, scenario())
+    run_process(cluster.sim, scenario(), 60.0)
     cluster.run(1.0)
     served_before = {m: sum(r.reads_served for r in
                             cluster.nodes[m].replicas.values())
@@ -81,7 +75,7 @@ def test_timeline_reads_are_spread_across_replicas():
         for _ in range(60):
             yield from client.get(key, b"c", consistent=False)
 
-    run(cluster, read_many())
+    run_process(cluster.sim, read_many(), 60.0)
     served = {m: sum(r.reads_served for r in
                      cluster.nodes[m].replicas.values())
               - served_before[m] for m in cohort.members}
@@ -103,7 +97,7 @@ def test_request_timeout_when_whole_cohort_down():
         except RequestTimeout:
             return "timeout"
 
-    assert run(cluster, scenario(), limit=30.0) == "timeout"
+    assert run_process(cluster.sim, scenario(), 30.0) == "timeout"
 
 
 def test_version_mismatch_not_retried():
@@ -119,7 +113,8 @@ def test_version_mismatch_not_retried():
             pass
         return client.retries - retries_before
 
-    assert run(cluster, scenario()) == 0  # a logical error, not transient
+    # a logical error, not transient
+    assert run_process(cluster.sim, scenario(), 60.0) == 0
 
 
 def test_multi_column_conditional_put_all_or_nothing():
@@ -137,7 +132,7 @@ def test_multi_column_conditional_put_all_or_nothing():
         return (yield from client.get_row(b"row", [b"a", b"b"],
                                           consistent=True))
 
-    row = run(cluster, scenario())
+    row = run_process(cluster.sim, scenario(), 60.0)
     assert row[b"a"].value == b"1" and row[b"b"].value == b"2"
 
 
@@ -159,7 +154,7 @@ def test_not_leader_without_hint_rotates_members():
         yield from client.put(key, b"c", b"v")
         return (yield from client.get(key, b"c", consistent=True))
 
-    got = run(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"v"
     assert client.retries >= 1
     assert client._leader_cache[cohort.cohort_id] == leader
@@ -193,7 +188,7 @@ def test_timeline_read_avoids_crashed_replica_on_retry():
     key = b"corpse-dodge"
     cohort = cluster.partitioner.cohort_for_key(key_of(key))
 
-    run(cluster, client.put(key, b"c", b"v"))
+    run_process(cluster.sim, client.put(key, b"c", b"v"), 60.0)
     cluster.run(1.0)    # let commit info reach followers
     cluster.crash_node(cohort.members[0])
 
@@ -204,7 +199,7 @@ def test_timeline_read_avoids_crashed_replica_on_retry():
             out.append(got.value)
         return out
 
-    values = run(cluster, read_many(), limit=120.0)
+    values = run_process(cluster.sim, read_many(), 120.0)
     assert values == [b"v"] * 20
 
 
@@ -225,7 +220,7 @@ def test_cold_cache_strong_read_seeds_from_map_leader_hint():
         yield from client.put(key, b"c", b"v")
         return (yield from client.get(key, b"c", consistent=True))
 
-    got = run(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"v"
     assert client.retries == retries_before   # straight to the leader
 
@@ -239,5 +234,5 @@ def test_ops_counted():
         yield from client.get(b"n", b"c", consistent=True)
         yield from client.delete(b"n", b"c")
 
-    run(cluster, scenario())
+    run_process(cluster.sim, scenario(), 60.0)
     assert client.ops_completed == 3

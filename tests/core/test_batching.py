@@ -6,9 +6,8 @@ import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig, Transaction
 from repro.core.batching import chunk_groups
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 from repro.storage.lsn import LSN
 from repro.storage.records import WriteRecord
 
@@ -21,23 +20,6 @@ def make_cluster(n_nodes=3, seed=27, **overrides):
     cluster = SpinnakerCluster(n_nodes=n_nodes, config=cfg, seed=seed)
     cluster.start()
     return cluster
-
-
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="client")
-    return proc.result()
-
-
-def cohort_keys(cluster, cohort_id, count, prefix=b"bat"):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = prefix + b"-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
 
 
 def grp(*sizes, nbytes=100):
@@ -93,7 +75,7 @@ def test_concurrent_writes_coalesce_into_batches():
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
     before = leader.batcher.batches_sent
-    keys = cohort_keys(cluster, 0, 16)
+    keys = cluster.partitioner.keys_in_cohort(0, 16, b"bat-")
     client = cluster.client()
     procs = [spawn(cluster.sim, client.put(k, b"c", b"v")) for k in keys]
     cluster.run_until(lambda: all(p.triggered for p in procs),
@@ -112,7 +94,7 @@ def test_concurrent_writes_coalesce_into_batches():
 def test_sequential_writes_never_wait_for_company():
     cluster = make_cluster(seed=31)
     cluster.run(2.0)
-    key = cohort_keys(cluster, 0, 1)[0]
+    key = cluster.partitioner.keys_in_cohort(0, 1, b"bat-")[0]
     leader = cluster.replica(cluster.leader_of(0), 0)
     client = cluster.client()
 
@@ -121,7 +103,7 @@ def test_sequential_writes_never_wait_for_company():
             result = yield from client.put(key, b"c", b"v%d" % i)
             assert result.version == i + 1
 
-    run(cluster, scenario())
+    run_process(cluster.sim, scenario(), 60.0)
     # An idle pipeline flushes each write immediately: no window ever
     # opened, every batch carried exactly one record.
     assert leader.batcher.windows_opened == 0
@@ -132,7 +114,7 @@ def test_sequential_writes_never_wait_for_company():
 def test_transaction_group_stays_indivisible():
     cluster = make_cluster(n_nodes=5, seed=33, propose_batch_max_records=2)
     cluster.run(2.0)
-    keys = cohort_keys(cluster, 0, 5)
+    keys = cluster.partitioner.keys_in_cohort(0, 5, b"bat-")
     leader = cluster.replica(cluster.leader_of(0), 0)
     client = cluster.client()
 
@@ -142,14 +124,15 @@ def test_transaction_group_stays_indivisible():
             txn.put(k, b"c", b"atomic")
         return (yield from txn.commit())
 
-    result = run(cluster, scenario())
+    result = run_process(cluster.sim, scenario(), 60.0)
     assert result.version == 1
     # Five records, limit two: an indivisible group travels oversized in
     # a single propose rather than being split across forces.
     assert leader.batcher.max_batch_records == 5
     client2 = cluster.client("client1")
     for k in keys:
-        got = run(cluster, client2.get(k, b"c", consistent=True))
+        got = run_process(cluster.sim, client2.get(k, b"c", consistent=True),
+                          60.0)
         assert got.found and got.value == b"atomic"
     assert cluster.all_failures() == []
 
@@ -166,8 +149,8 @@ def test_step_down_drops_buffered_records():
     cluster.run(2.0)
     leader = cluster.replica(cluster.leader_of(0), 0)
     node = leader.node
-    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0,
-                         key=cohort_keys(cluster, 0, 1)[0],
+    key = cluster.partitioner.keys_in_cohort(0, 1, b"bat-")[0]
+    record = WriteRecord(lsn=leader.alloc_lsn(), cohort_id=0, key=key,
                          colname=b"c", value=b"phantom", version=1)
     leader._replicate([record])
     assert record.lsn in leader.queue     # buffered, window pending
@@ -187,7 +170,7 @@ def test_takeover_reproposes_tail_in_batches():
     # must survive a leader crash; the successor re-proposes it batched.
     cluster = make_cluster(n_nodes=5, seed=39, commit_period=30.0)
     cluster.run(2.0)
-    keys = cohort_keys(cluster, 0, 20)
+    keys = cluster.partitioner.keys_in_cohort(0, 20, b"bat-")
     client = cluster.client()
 
     def writes():
@@ -195,13 +178,14 @@ def test_takeover_reproposes_tail_in_batches():
             result = yield from client.put(k, b"c", b"keep")
             assert result.version == 1
 
-    run(cluster, writes())
+    run_process(cluster.sim, writes(), 60.0)
     cluster.kill_leader(0)
     cluster.run_until(lambda: cluster.leader_of(0) is not None,
                       limit=30.0, what="re-election")
     reader = cluster.client("client1")
     for k in keys:
-        got = run(cluster, reader.get(k, b"c", consistent=True))
+        got = run_process(cluster.sim, reader.get(k, b"c", consistent=True),
+                          60.0)
         assert got.found and got.value == b"keep"
     assert cluster.all_failures() == []
 

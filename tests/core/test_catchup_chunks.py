@@ -12,11 +12,10 @@ import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.messages import CatchupRequest
-from repro.core.partition import key_of
 from repro.core.recovery import build_catchup_chunk, chunk_wire_size, \
     ingest_catchup
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.lsn import LSN
 
 COHORT = 0
@@ -34,30 +33,13 @@ def make_cluster(seed=11, chunk_bytes=2_048):
     return cluster
 
 
-def run(cluster, gen, limit=120.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
-
-
-def cohort_keys(cluster, count):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"ck-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == COHORT:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def write_keys(cluster, keys, tag=b"w"):
     client = cluster.client("ck-writer")
 
     def _go():
         for key in keys:
             yield from client.put(key, b"c", tag + b"x" * 200)
-    run(cluster, _go())
+    run_process(cluster.sim, _go(), 120.0)
 
 
 def rolled_leader(cluster, keys):
@@ -74,8 +56,7 @@ def rolled_leader(cluster, keys):
                   if m != leader)
     write_keys(cluster, keys[:30])
     cluster.run(0.3)
-    cluster.crash_node(victim)
-    cluster.expire_session_of(victim)
+    cluster.crash_node(victim, skip_detection=True)
     write_keys(cluster, keys[30:])
     leader = cluster.leader_of(COHORT)
     assert not cluster.nodes[leader].wal.can_serve_after(
@@ -110,7 +91,7 @@ def walk_pages(leader_replica, follower=b"ghost".decode()):
 class TestLeaderPaging:
     def test_each_table_ships_exactly_once(self):
         cluster = make_cluster()
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         leader, _ = rolled_leader(cluster, keys)
         replica = cluster.replica(leader, COHORT)
         chunks, cmt = walk_pages(replica)
@@ -132,7 +113,7 @@ class TestLeaderPaging:
 
     def test_pages_respect_budget(self):
         cluster = make_cluster()
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         leader, _ = rolled_leader(cluster, keys)
         replica = cluster.replica(leader, COHORT)
         budget = cluster.config.catchup_chunk_bytes
@@ -149,7 +130,7 @@ class TestLeaderPaging:
 
     def test_stale_generation_token_restarts_from_floor(self):
         cluster = make_cluster()
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         leader, _ = rolled_leader(cluster, keys)
         replica = cluster.replica(leader, COHORT)
         first = build_catchup_chunk(replica, CatchupRequest(
@@ -167,7 +148,7 @@ class TestLeaderPaging:
 
     def test_chunk_wire_size_counts_sstables(self):
         cluster = make_cluster()
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         leader, _ = rolled_leader(cluster, keys)
         replica = cluster.replica(leader, COHORT)
         chunk = build_catchup_chunk(replica, CatchupRequest(
@@ -181,7 +162,7 @@ class TestLeaderPaging:
 class TestIngestIdempotency:
     def test_reingesting_same_chunk_is_a_noop(self):
         cluster = make_cluster()
-        keys = cohort_keys(cluster, 120)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 120, b"ck-")
         write_keys(cluster, keys)
         cluster.run(0.5)
         leader = cluster.leader_of(COHORT)
@@ -193,14 +174,14 @@ class TestIngestIdempotency:
         chunk = build_catchup_chunk(lead_rep, CatchupRequest(
             cohort_id=COHORT, follower=follower,
             follower_cmt=LSN.zero()))
-        run(cluster, ingest_catchup(fol_rep, chunk))
+        run_process(cluster.sim, ingest_catchup(fol_rep, chunk), 120.0)
         wal = cluster.nodes[follower].wal
         state = (len(fol_rep.engine.sstables), fol_rep.committed_lsn,
                  fol_rep.catchup_floor, wal.marker_count(),
                  wal.skipped_lsns(COHORT),
                  len(wal.write_records(COHORT)))
         # A retried chunk (acked reply lost) arrives again verbatim.
-        run(cluster, ingest_catchup(fol_rep, chunk))
+        run_process(cluster.sim, ingest_catchup(fol_rep, chunk), 120.0)
         assert (len(fol_rep.engine.sstables), fol_rep.committed_lsn,
                 fol_rep.catchup_floor, wal.marker_count(),
                 wal.skipped_lsns(COHORT),
@@ -216,7 +197,7 @@ class TestCrashMidInstall:
         leader must not re-ship below that floor, and the cohort must
         converge with the victim's engine matching the leader's."""
         cluster = make_cluster(seed=13)
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         _, victim = rolled_leader(cluster, keys)
         cluster.restart_node(victim)
         replica = cluster.replica(victim, COHORT)
@@ -228,20 +209,29 @@ class TestCrashMidInstall:
                      and replica.role != Role.FOLLOWER),
             limit=60.0, step=0.0005, what="mid-install instant")
         volatile_floor = replica.catchup_floor
-        cluster.crash_node(victim)
-        cluster.expire_session_of(victim)
+        cluster.crash_node(victim, skip_detection=True)
         wal = cluster.nodes[victim].wal
         durable_floor = wal.catchup_floor(COHORT)   # recomputed by crash
         durable_cmt = wal.last_committed_lsn(COHORT)
-        assert durable_floor <= volatile_floor
+        # The crash landed inside the window: the table is installed but
+        # its marker is not durable.
+        assert durable_floor < volatile_floor
         assert durable_cmt <= durable_floor or durable_cmt >= LSN.zero()
         marks = {name: len(cluster.nodes[name].catchup_served)
                  for name in cluster.nodes}
 
+        # Record the floor prepare_restart derives, before catch-up
+        # moves it on.
+        floors = []
+        prepare_restart = replica.prepare_restart
+
+        def recording_prepare_restart():
+            prepare_restart()
+            floors.append(replica.catchup_floor)
+        replica.prepare_restart = recording_prepare_restart
+
         cluster.run(0.3)
         cluster.restart_node(victim)
-        # prepare_restart re-derived the durable floor before catch-up.
-        assert replica.catchup_floor == durable_floor
 
         def caught_up():
             lead = cluster.leader_of(COHORT)
@@ -254,6 +244,8 @@ class TestCrashMidInstall:
         cluster.run_until(caught_up, limit=60.0,
                           what="victim reconverges")
         cluster.run(0.5)
+        # The restart re-derived the durable floor before catch-up.
+        assert floors == [durable_floor]
 
         # Resume check: nothing served after the restart carries a table
         # at or below the durable resume floor.
@@ -277,7 +269,7 @@ class TestCrashMidInstall:
         """A rejoin across a rollover pages through several chunks and
         at least one snapshot slice, then survives a failover."""
         cluster = make_cluster(seed=17)
-        keys = cohort_keys(cluster, 360)
+        keys = cluster.partitioner.keys_in_cohort(COHORT, 360, b"ck-")
         _, victim = rolled_leader(cluster, keys)
         cluster.restart_node(victim)
         replica = cluster.replica(victim, COHORT)
@@ -301,6 +293,6 @@ class TestCrashMidInstall:
                                                   consistent=True)))
             return out
 
-        results = run(cluster, read_all())
+        results = run_process(cluster.sim, read_all(), 120.0)
         assert all(r.found for r in results)
         assert cluster.all_failures() == []

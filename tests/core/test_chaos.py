@@ -19,9 +19,8 @@ import pytest
 
 from repro.core import (DatastoreError, Role, SpinnakerCluster,
                         SpinnakerConfig)
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn, timeout
+from repro.sim.process import run_process, spawn, timeout
 
 
 def make_cluster(seed):
@@ -32,17 +31,6 @@ def make_cluster(seed):
     return cluster
 
 
-def cohort_keys(cluster, cohort_id, count):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"chaos-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 @pytest.mark.parametrize("seed", [101, 202, 303])
 def test_no_acknowledged_write_lost_in_failure_storm(seed):
     cluster = make_cluster(seed)
@@ -50,7 +38,7 @@ def test_no_acknowledged_write_lost_in_failure_storm(seed):
     rng = cluster.rng.stream("chaos")
     cohort_id = 0
     members = list(cluster.partitioner.cohort(cohort_id).members)
-    keys = cohort_keys(cluster, cohort_id, 400)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 400, b"chaos-")
     client = cluster.client()
     acknowledged = {}
     state = {"writer_done": False}
@@ -82,11 +70,10 @@ def test_no_acknowledged_write_lost_in_failure_storm(seed):
             name = rng.choice(victims)
             node = cluster.nodes[name]
             session = node.zk.session if node.zk else None
-            cluster.crash_node(name)
-            if session is not None and rng.random() < 0.7:
-                # Usually skip detection (fast elections); sometimes pay
-                # the full session timeout.
-                cluster.coord.expire_session_now(session)
+            # Usually skip detection (fast elections); sometimes pay the
+            # full session timeout.
+            cluster.crash_node(name, skip_detection=(
+                session is not None and rng.random() < 0.7))
             down.append(name)
         for name in down:
             cluster.restart_node(name)
@@ -112,10 +99,8 @@ def test_no_acknowledged_write_lost_in_failure_storm(seed):
             results[key] = (got.found, got.value, value)
         return results
 
-    proc = spawn(sim, read_back())
-    cluster.run_until(lambda: proc.triggered, limit=300.0,
-                      what="post-storm reads")
-    lost = {k: r for k, r in proc.result().items()
+    results = run_process(sim, read_back(), 300.0, what="post-storm reads")
+    lost = {k: r for k, r in results.items()
             if not r[0] or r[1] != r[2]}
     assert not lost, f"acknowledged writes lost: {sorted(lost)[:5]}"
     assert cluster.all_failures() == []
@@ -126,23 +111,18 @@ def test_writes_resume_after_every_member_cycled():
     cluster = make_cluster(seed=77)
     cohort_id = 1
     members = list(cluster.partitioner.cohort(cohort_id).members)
-    keys = cohort_keys(cluster, cohort_id, len(members) + 1)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, len(members) + 1,
+                                              b"chaos-")
     client = cluster.client()
 
     def put_one(key):
         def _go():
             yield from client.put(key, b"c", b"alive")
-        proc = spawn(cluster.sim, _go())
-        cluster.run_until(lambda: proc.triggered, limit=60.0, what="put")
-        assert proc.ok
+        run_process(cluster.sim, _go(), 60.0)
 
     put_one(keys[0])
     for i, name in enumerate(members):
-        node = cluster.nodes[name]
-        session = node.zk.session if node.zk else None
-        cluster.crash_node(name)
-        if session is not None:
-            cluster.coord.expire_session_now(session)
+        cluster.crash_node(name, skip_detection=True)
         cluster.run_until(
             lambda: cluster.leader_of(cohort_id) is not None
             and cluster.leader_of(cohort_id) != name,

@@ -6,7 +6,6 @@ from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.checker import (HistoryRecorder, Violation,
                                 check_strong_history)
 from repro.core.datamodel import DatastoreError
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.process import spawn, timeout
 
@@ -80,9 +79,7 @@ def test_cluster_history_is_strongly_consistent_through_failover():
     sim = cluster.sim
     history = HistoryRecorder()
     cohort_id = 0
-    key = next(b"hk-%d" % i for i in range(1000)
-               if cluster.partitioner.cohort_for_key(
-                   key_of(b"hk-%d" % i)).cohort_id == cohort_id)
+    key = cluster.partitioner.keys_in_cohort(cohort_id, 1, b"hk-")[0]
     done = {"writer": False}
 
     def writer():

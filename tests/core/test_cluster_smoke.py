@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig, VersionMismatch
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 def fast_config(**overrides):
@@ -24,13 +24,6 @@ def cluster():
     assert cl.all_failures() == []
 
 
-def run_client(cluster, gen, limit=30.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="client op")
-    return proc.result()
-
-
 def test_cluster_elects_a_leader_per_cohort(cluster):
     for cohort in cluster.partitioner.cohorts:
         leader = cluster.leader_of(cohort.cohort_id)
@@ -45,7 +38,7 @@ def test_put_then_strong_get(cluster):
         got = yield from client.get(b"user:1", b"name", consistent=True)
         return put, got
 
-    put, got = run_client(cluster, scenario())
+    put, got = run_process(cluster.sim, scenario(), 30.0)
     assert put.version == 1
     assert got.found and got.value == b"ada" and got.version == 1
 
@@ -56,7 +49,7 @@ def test_get_missing_returns_not_found(cluster):
     def scenario():
         return (yield from client.get(b"ghost", b"c", consistent=True))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 30.0)
     assert not got.found
     assert got.version == 0
 
@@ -69,7 +62,7 @@ def test_overwrite_bumps_version(cluster):
         yield from client.put(b"k", b"c", b"v2")
         return (yield from client.get(b"k", b"c", consistent=True))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 30.0)
     assert got.value == b"v2"
     assert got.version == 2
 
@@ -82,7 +75,7 @@ def test_delete_hides_value(cluster):
         yield from client.delete(b"k", b"c")
         return (yield from client.get(b"k", b"c", consistent=True))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 30.0)
     assert not got.found
 
 
@@ -97,7 +90,7 @@ def test_conditional_put_succeeds_on_current_version(cluster):
         final = yield from client.get(b"cnt", b"c", consistent=True)
         return res, final
 
-    res, final = run_client(cluster, scenario())
+    res, final = run_process(cluster.sim, scenario(), 30.0)
     assert res.version == 2
     assert final.value == b"1"
 
@@ -114,7 +107,7 @@ def test_conditional_put_fails_on_stale_version(cluster):
             return err
         return None
 
-    err = run_client(cluster, scenario())
+    err = run_process(cluster.sim, scenario(), 30.0)
     assert err is not None
     assert err.expected == 1 and err.actual == 2
 
@@ -133,7 +126,7 @@ def test_conditional_delete(cluster):
         yield from client.conditional_delete(b"k", b"c", 1)
         return (yield from client.get(b"k", b"c", consistent=True))
 
-    got = run_client(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 30.0)
     assert not got.found
 
 
@@ -146,7 +139,7 @@ def test_multi_column_put_is_atomic_batch(cluster):
         return (yield from client.get_row(
             b"row", [b"a", b"b", b"c"], consistent=True))
 
-    row = run_client(cluster, scenario())
+    row = run_process(cluster.sim, scenario(), 30.0)
     assert {c: r.value for c, r in row.items()} == {
         b"a": b"1", b"b": b"2", b"c": b"3"}
 
@@ -157,7 +150,7 @@ def test_timeline_read_sees_value_after_commit_period(cluster):
     def write_it():
         yield from client.put(b"tl", b"c", b"v")
 
-    run_client(cluster, write_it())
+    run_process(cluster.sim, write_it(), 30.0)
     # Give followers time to receive a commit message.
     cluster.run(1.0)
 
@@ -168,7 +161,7 @@ def test_timeline_read_sees_value_after_commit_period(cluster):
             results.append(got)
         return results
 
-    results = run_client(cluster, read_everywhere())
+    results = run_process(cluster.sim, read_everywhere(), 30.0)
     assert all(r.found and r.value == b"v" for r in results)
 
 
@@ -179,7 +172,7 @@ def test_writes_spread_across_cohorts(cluster):
         for i in range(40):
             yield from client.put(b"key-%d" % i, b"c", b"v")
 
-    run_client(cluster, scenario(), limit=120.0)
+    run_process(cluster.sim, scenario(), 120.0)
     leaders = {cluster.leader_of(c.cohort_id)
                for c in cluster.partitioner.cohorts}
     served = sum(r.writes_served for n in cluster.nodes.values()
@@ -196,7 +189,7 @@ def test_cluster_stats_reflect_activity(cluster):
             yield from client.put(b"st-%d" % i, b"c", b"v")
         yield from client.get(b"st-0", b"c", consistent=True)
 
-    run_client(cluster, scenario())
+    run_process(cluster.sim, scenario(), 30.0)
     stats = cluster.stats()
     nodes = stats["nodes"]
     assert sum(n["writes_served"] for n in nodes.values()) == 6

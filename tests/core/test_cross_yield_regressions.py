@@ -11,7 +11,7 @@ from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.loadbalance import transfer_leadership
 from repro.core.messages import CatchupChunk, CatchupRequest
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.lsn import LSN
 
 
@@ -22,12 +22,6 @@ def make_cluster(n=5, seed=47):
     cluster.start()
     cluster.run(2.0)
     return cluster
-
-
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
 
 
 def drive(gen):
@@ -70,7 +64,8 @@ def test_transfer_aborts_when_deposed_during_catchup(monkeypatch):
 
     monkeypatch.setattr(replica.node.zk, "set_data", recording_set_data)
 
-    ok = run(cluster, transfer_leadership(replica, successor))
+    ok = run_process(cluster.sim, transfer_leadership(replica, successor),
+                     60.0)
     assert ok is False
     assert not [p for p in znode_writes if p.endswith("/leader")]
     assert not replica.is_leader

@@ -4,9 +4,8 @@ epoch monotonicity, repeated failovers."""
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.lsn import LSN
 
 
@@ -18,23 +17,6 @@ def make_cluster(n=3, seed=51, **overrides):
     cluster = SpinnakerCluster(n_nodes=n, config=cfg, seed=seed)
     cluster.start()
     return cluster
-
-
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
-
-
-def cohort_keys(cluster, cohort_id, count):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"el-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
 
 
 def test_epoch_strictly_increases_across_failovers():
@@ -65,7 +47,7 @@ def test_lsns_never_reused_across_epochs():
     cohort ever used (App. B's guarantee)."""
     cluster = make_cluster(n=5)
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 12)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 12, b"el-")
     client = cluster.client()
     seen_lsns = set()
 
@@ -73,7 +55,7 @@ def test_lsns_never_reused_across_epochs():
         def _go():
             for key in keys[lo:hi]:
                 yield from client.put(key, b"c", b"v")
-        run(cluster, _go())
+        run_process(cluster.sim, _go(), 60.0)
 
     for round_idx in range(3):
         write_some(round_idx * 4, round_idx * 4 + 4)
@@ -124,7 +106,7 @@ def test_winner_must_hold_every_committed_write():
     log contains every write the old leader acknowledged."""
     cluster = make_cluster(n=5)
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 10)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 10, b"el-")
     client = cluster.client()
     acked = []
 
@@ -133,7 +115,7 @@ def test_winner_must_hold_every_committed_write():
             yield from client.put(key, b"c", b"v%d" % i)
             acked.append(key)
 
-    run(cluster, write_all())
+    run_process(cluster.sim, write_all(), 60.0)
     old = cluster.kill_leader(cohort_id)
     cluster.run_until(
         lambda: cluster.leader_of(cohort_id) not in (None, old),

@@ -5,9 +5,8 @@ import pytest
 
 from repro.core import (RequestTimeout, Role, SpinnakerCluster,
                         SpinnakerConfig)
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 def fast_config(**overrides):
@@ -25,36 +24,17 @@ def make_cluster(n=5, **overrides):
     return cluster
 
 
-def run_client(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="client op")
-    return proc.result()
-
-
-def keys_for_cohort(cluster, cohort_id, count):
-    """Find row keys that route to the given cohort."""
-    keys = []
-    i = 0
-    while len(keys) < count:
-        key = b"k-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def test_leader_failover_preserves_committed_writes():
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 0
-    keys = keys_for_cohort(cluster, cohort_id, 15)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 15, b"k-")
 
     def write_all():
         for i, key in enumerate(keys):
             yield from client.put(key, b"c", b"v%d" % i)
 
-    run_client(cluster, write_all())
+    run_process(cluster.sim, write_all(), 60.0)
     old_leader = cluster.kill_leader(cohort_id)
     assert old_leader is not None
     cluster.run_until(
@@ -69,7 +49,7 @@ def test_leader_failover_preserves_committed_writes():
             out.append((yield from client.get(key, b"c", consistent=True)))
         return out
 
-    results = run_client(cluster, read_all())
+    results = run_process(cluster.sim, read_all(), 60.0)
     assert all(r.found for r in results)
     assert [r.value for r in results] == [b"v%d" % i
                                           for i in range(len(keys))]
@@ -80,13 +60,13 @@ def test_writes_resume_after_failover():
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 1
-    keys = keys_for_cohort(cluster, cohort_id, 10)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 10, b"k-")
 
     def before():
         for key in keys[:5]:
             yield from client.put(key, b"c", b"before")
 
-    run_client(cluster, before())
+    run_process(cluster.sim, before(), 60.0)
     cluster.kill_leader(cohort_id)
     cluster.run_until(lambda: cluster.leader_of(cohort_id) is not None,
                       limit=30.0, what="new leader")
@@ -96,7 +76,7 @@ def test_writes_resume_after_failover():
             yield from client.put(key, b"c", b"after")
         return (yield from client.get(keys[7], b"c", consistent=True))
 
-    got = run_client(cluster, after())
+    got = run_process(cluster.sim, after(), 60.0)
     assert got.value == b"after"
     assert cluster.all_failures() == []
 
@@ -114,18 +94,32 @@ def test_failover_with_detection_timeout():
     assert cluster.all_failures() == []
 
 
+@pytest.mark.parametrize("lose_disk", [False, True])
+@pytest.mark.parametrize("skip_detection", [False, True])
+def test_crash_node_skip_detection_expires_the_session(skip_detection,
+                                                       lose_disk):
+    """Regression: fast detection used to look the session up after the
+    crash had already dropped it, so nothing was ever expired."""
+    cluster = make_cluster()
+    session = cluster.nodes["node1"].zk.session
+    assert cluster.coord.session_is_alive(session)
+    cluster.crash_node("node1", skip_detection=skip_detection,
+                       lose_disk=lose_disk)
+    assert cluster.coord.session_is_alive(session) is not skip_detection
+
+
 def test_new_leader_has_max_lst():
     """§7.2: the candidate with the max n.lst must win."""
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 0
-    keys = keys_for_cohort(cluster, cohort_id, 8)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 8, b"k-")
 
     def write_all():
         for key in keys:
             yield from client.put(key, b"c", b"v")
 
-    run_client(cluster, write_all())
+    run_process(cluster.sim, write_all(), 60.0)
     old_leader = cluster.kill_leader(cohort_id)
     members = cluster.partitioner.cohort(cohort_id).members
     survivors = [m for m in members if m != old_leader]
@@ -143,7 +137,7 @@ def test_follower_restart_catches_up():
     members = cluster.partitioner.cohort(cohort_id).members
     leader = cluster.leader_of(cohort_id)
     follower = next(m for m in members if m != leader)
-    keys = keys_for_cohort(cluster, cohort_id, 12)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 12, b"k-")
 
     def phase(lo, hi):
         def _go():
@@ -151,9 +145,9 @@ def test_follower_restart_catches_up():
                 yield from client.put(key, b"c", b"v")
         return _go()
 
-    run_client(cluster, phase(0, 4))
+    run_process(cluster.sim, phase(0, 4), 60.0)
     cluster.crash_node(follower)
-    run_client(cluster, phase(4, 10))      # quorum of 2 still commits
+    run_process(cluster.sim, phase(4, 10), 60.0)  # quorum of 2 still commits
     cluster.restart_node(follower)
     replica = cluster.replica(follower, cohort_id)
     cluster.run_until(lambda: replica.role == Role.FOLLOWER, limit=30.0,
@@ -172,16 +166,14 @@ def test_two_nodes_down_blocks_writes_then_recovers():
     client = cluster.client()
     cohort_id = 0
     members = cluster.partitioner.cohort(cohort_id).members
-    keys = keys_for_cohort(cluster, cohort_id, 4)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 4, b"k-")
 
-    run_client(cluster, client.put(keys[0], b"c", b"pre"))
+    run_process(cluster.sim, client.put(keys[0], b"c", b"pre"), 60.0)
     # Crash two members, leaving one up.
     leader = cluster.leader_of(cohort_id)
     downs = [m for m in members if m != leader][:1] + [leader]
     for name in downs:
-        session = cluster.nodes[name].zk.session
-        cluster.crash_node(name)
-        cluster.coord.expire_session_now(session)
+        cluster.crash_node(name, skip_detection=True)
 
     def blocked_write():
         try:
@@ -190,7 +182,7 @@ def test_two_nodes_down_blocks_writes_then_recovers():
         except RequestTimeout:
             return "timeout"
 
-    assert run_client(cluster, blocked_write(), limit=30.0) == "timeout"
+    assert run_process(cluster.sim, blocked_write(), 30.0) == "timeout"
     # Restart one: majority restored, writes flow again.
     cluster.restart_node(downs[0])
     cluster.run_until(lambda: cluster.leader_of(cohort_id) is not None,
@@ -200,7 +192,7 @@ def test_two_nodes_down_blocks_writes_then_recovers():
         yield from client.put(keys[2], b"c", b"post")
         return (yield from client.get(keys[2], b"c", consistent=True))
 
-    got = run_client(cluster, unblocked_write())
+    got = run_process(cluster.sim, unblocked_write(), 60.0)
     assert got.value == b"post"
 
 
@@ -210,9 +202,9 @@ def test_timeline_reads_available_with_one_node_up():
     client = cluster.client()
     cohort_id = 0
     members = cluster.partitioner.cohort(cohort_id).members
-    key = keys_for_cohort(cluster, cohort_id, 1)[0]
+    key = cluster.partitioner.keys_in_cohort(cohort_id, 1, b"k-")[0]
 
-    run_client(cluster, client.put(key, b"c", b"v"))
+    run_process(cluster.sim, client.put(key, b"c", b"v"), 60.0)
     cluster.run(1.0)  # let commit messages propagate
     survivor = members[2]
     for name in members[:2]:
@@ -222,7 +214,7 @@ def test_timeline_reads_available_with_one_node_up():
         # May need retries until it lands on the survivor.
         return (yield from client.get(key, b"c", consistent=False))
 
-    got = run_client(cluster, timeline_read(), limit=30.0)
+    got = run_process(cluster.sim, timeline_read(), 30.0)
     assert got.found and got.value == b"v"
     assert cluster.nodes[survivor].alive
 
@@ -236,7 +228,7 @@ def test_full_cluster_restart_preserves_data():
         for key in keys:
             yield from client.put(key, b"c", b"durable")
 
-    run_client(cluster, write_all())
+    run_process(cluster.sim, write_all(), 60.0)
     cluster.run(1.0)  # commit messages + markers ride down with forces
     for node in cluster.nodes.values():
         cluster.crash_node(node.name)
@@ -251,7 +243,7 @@ def test_full_cluster_restart_preserves_data():
             out.append((yield from client.get(key, b"c", consistent=True)))
         return out
 
-    results = run_client(cluster, read_all(), limit=60.0)
+    results = run_process(cluster.sim, read_all(), 60.0)
     assert all(r.found and r.value == b"durable" for r in results)
     assert cluster.all_failures() == []
 
@@ -264,13 +256,13 @@ def test_disk_loss_recovers_via_catchup():
     members = cluster.partitioner.cohort(cohort_id).members
     leader = cluster.leader_of(cohort_id)
     victim = next(m for m in members if m != leader)
-    keys = keys_for_cohort(cluster, cohort_id, 8)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 8, b"k-")
 
     def write_all():
         for key in keys:
             yield from client.put(key, b"c", b"v")
 
-    run_client(cluster, write_all())
+    run_process(cluster.sim, write_all(), 60.0)
     cluster.run(1.0)
     cluster.nodes[victim].lose_disk()
     replica = cluster.replica(victim, cohort_id)
@@ -291,7 +283,7 @@ def test_partitioned_leader_blocks_writes_until_heal():
     members = cluster.partitioner.cohort(cohort_id).members
     leader = cluster.leader_of(cohort_id)
     followers = [m for m in members if m != leader]
-    key = keys_for_cohort(cluster, cohort_id, 1)[0]
+    key = cluster.partitioner.keys_in_cohort(cohort_id, 1, b"k-")[0]
 
     for f in followers:
         cluster.network.block(leader, f)
@@ -303,12 +295,12 @@ def test_partitioned_leader_blocks_writes_until_heal():
         except RequestTimeout:
             return "timeout"
 
-    assert run_client(cluster, stalled(), limit=30.0) == "timeout"
+    assert run_process(cluster.sim, stalled(), 30.0) == "timeout"
     cluster.network.heal()
 
     def resumed():
         yield from client.put(key, b"c", b"y")
         return (yield from client.get(key, b"c", consistent=True))
 
-    got = run_client(cluster, resumed(), limit=30.0)
+    got = run_process(cluster.sim, resumed(), 30.0)
     assert got.value == b"y"

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
 from repro.sim.failure import FailureSchedule
-from repro.sim.process import spawn, timeout
+from repro.sim.process import run_process, spawn, timeout
 
 
 def make_cluster(seed=67):
@@ -29,13 +28,7 @@ def test_scheduled_rolling_outage_with_continuous_writes():
         sched.crash_for(at, duration=2.0, target=cluster.nodes[member])
 
     client = cluster.client()
-    keys = []
-    i = 0
-    while len(keys) < 60:
-        key = b"fs-%d" % i
-        if cluster.partitioner.locate(key).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 60, b"fs-")
     acked = []
     state = {"done": False}
 
@@ -69,9 +62,7 @@ def test_scheduled_rolling_outage_with_continuous_writes():
                                               consistent=True)))
         return out
 
-    proc = spawn(sim, read_back())
-    cluster.run_until(lambda: proc.triggered, limit=120.0, what="reads")
-    assert all(r.found for r in proc.result())
+    assert all(r.found for r in run_process(sim, read_back(), 120.0))
     assert cluster.all_failures() == []
 
 
@@ -88,9 +79,7 @@ def test_scheduled_partition_heals_cleanly():
     sched.heal_at(sim.now + 2.5, cluster.network)
 
     client = cluster.client()
-    key = next(b"fp-%d" % i for i in range(1000)
-               if cluster.partitioner.locate(
-                   b"fp-%d" % i).cohort_id == cohort_id)
+    key = cluster.partitioner.keys_in_cohort(cohort_id, 1, b"fp-")[0]
     outcome = {}
 
     def scenario():
@@ -101,8 +90,7 @@ def test_scheduled_partition_heals_cleanly():
         outcome["write_done_at"] = sim.now
         outcome["blocked_for"] = sim.now - start
 
-    proc = spawn(sim, scenario())
-    cluster.run_until(lambda: proc.triggered, limit=60.0, what="write")
+    run_process(sim, scenario(), 60.0)
     # The write could not commit before the heal at t=2.5.
     assert outcome["write_done_at"] >= 2.5
     assert cluster.all_failures() == []
@@ -118,13 +106,7 @@ def test_scheduled_disk_loss_rejoins_via_catchup():
     leader = cluster.leader_of(cohort_id)
     victim = next(m for m in cluster.partitioner.cohort(cohort_id).members
                   if m != leader)
-    keys = []
-    i = 0
-    while len(keys) < 30:
-        key = b"dl-%d" % i
-        if cluster.partitioner.locate(key).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 30, b"dl-")
     state = {"done": False}
 
     def writer():
@@ -174,11 +156,8 @@ def test_leader_cut_off_from_coord_steps_down():
     # Heal; the deposed node rejoins as a follower and writes flow.
     cluster.network.heal()
     client = cluster.client()
-    key = next(b"sl-%d" % i for i in range(1000)
-               if cluster.partitioner.locate(
-                   b"sl-%d" % i).cohort_id == cohort_id)
-    proc = spawn(sim, client.put(key, b"c", b"v"))
-    cluster.run_until(lambda: proc.triggered, limit=60.0, what="write")
+    key = cluster.partitioner.keys_in_cohort(cohort_id, 1, b"sl-")[0]
+    run_process(sim, client.put(key, b"c", b"v"), 60.0)
     cluster.run(10.0)  # rejoin + catch-up settle
     assert cluster.nodes[old_leader].zk.session is not None
     assert cluster.all_failures() == []

@@ -4,9 +4,8 @@
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.lsn import LSN
 
 
@@ -21,35 +20,18 @@ def make_cluster(flush_threshold=6_000, seed=61):
     return cluster
 
 
-def run(cluster, gen, limit=120.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
-
-
-def cohort_keys(cluster, cohort_id, count):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"fc-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def write_many(cluster, client, keys, value=b"x" * 1024):
     def _go():
         for key in keys:
             yield from client.put(key, b"c", value)
-    run(cluster, _go())
+    run_process(cluster.sim, _go(), 120.0)
 
 
 def test_flush_advances_checkpoint_and_rolls_log():
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 30)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 30, b"fc-")
     write_many(cluster, client, keys)
     cluster.run(1.0)
     leader = cluster.leader_of(cohort_id)
@@ -65,7 +47,7 @@ def test_reads_correct_across_flush_boundary():
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 25)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 25, b"fc-")
     write_many(cluster, client, keys)
 
     def read_all():
@@ -75,7 +57,7 @@ def test_reads_correct_across_flush_boundary():
                                               consistent=True)))
         return out
 
-    results = run(cluster, read_all())
+    results = run_process(cluster.sim, read_all(), 120.0)
     assert all(r.found for r in results)
 
 
@@ -88,7 +70,7 @@ def test_catchup_ships_sstables_when_log_rolled():
     members = cluster.partitioner.cohort(cohort_id).members
     leader = cluster.leader_of(cohort_id)
     victim = next(m for m in members if m != leader)
-    keys = cohort_keys(cluster, cohort_id, 40)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 40, b"fc-")
     write_many(cluster, client, keys[:5])
     cluster.run(0.5)
     cluster.crash_node(victim)
@@ -120,7 +102,7 @@ def test_catchup_after_rollover_supports_future_failover():
     members = cluster.partitioner.cohort(cohort_id).members
     leader = cluster.leader_of(cohort_id)
     victim = next(m for m in members if m != leader)
-    keys = cohort_keys(cluster, cohort_id, 40)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 40, b"fc-")
     write_many(cluster, client, keys[:5])
     cluster.crash_node(victim)
     write_many(cluster, client, keys[5:])
@@ -144,7 +126,7 @@ def test_catchup_after_rollover_supports_future_failover():
                                               consistent=True)))
         return out
 
-    results = run(cluster, read_all())
+    results = run_process(cluster.sim, read_all(), 120.0)
     assert all(r.found for r in results)
     assert cluster.all_failures() == []
 
@@ -152,7 +134,7 @@ def test_catchup_after_rollover_supports_future_failover():
 def test_flush_threshold_respected_per_replica():
     cluster = make_cluster(flush_threshold=4_000)
     client = cluster.client()
-    keys = cohort_keys(cluster, 1, 20)
+    keys = cluster.partitioner.keys_in_cohort(1, 20, b"fc-")
     write_many(cluster, client, keys)
     cluster.run(1.0)
     leader = cluster.leader_of(1)

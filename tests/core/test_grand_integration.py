@@ -12,7 +12,7 @@ from repro.core import (DatastoreError, Role, SpinnakerCluster,
                         SpinnakerConfig, Transaction)
 from repro.core.loadbalance import plan_rebalance, transfer_leadership
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn, timeout
+from repro.sim.process import run_process, spawn, timeout
 
 
 def test_everything_at_once():
@@ -61,8 +61,7 @@ def test_everything_at_once():
 
     work = spawn(sim, workload(), name="soak-workload")
     spawn(sim, chaos(), name="soak-chaos")
-    cluster.run_until(lambda: work.triggered, limit=240.0, what="workload")
-    assert work.ok, work.exception
+    run_process(sim, work, 240.0, what="workload")
     cluster.run(3.0)   # let recovery + commit messages settle
 
     # Rebalance leadership back to one per live node.
@@ -71,9 +70,7 @@ def test_everything_at_once():
     for cohort_id, src, dst in plan_rebalance(cluster.partitioner,
                                               leaders):
         replica = cluster.replica(src, cohort_id)
-        proc = spawn(sim, transfer_leadership(replica, dst))
-        cluster.run_until(lambda: proc.triggered, limit=30.0,
-                          what="rebalance")
+        run_process(sim, transfer_leadership(replica, dst), 30.0)
         cluster.run_until(lambda: cluster.leader_of(cohort_id) == dst,
                           limit=30.0, what="handoff")
 
@@ -85,9 +82,7 @@ def test_everything_at_once():
             out[key] = (got.found, got.value, value)
         return out
 
-    proc = spawn(sim, verify_gets())
-    cluster.run_until(lambda: proc.triggered, limit=120.0, what="verify")
-    bad = {k: v for k, v in proc.result().items()
+    bad = {k: v for k, v in run_process(sim, verify_gets(), 120.0).items()
            if not v[0] or v[1] != v[2]}
     assert not bad, f"divergent keys: {sorted(bad)[:5]}"
 
@@ -95,9 +90,7 @@ def test_everything_at_once():
     def scan_all():
         return (yield from client.scan(b"\x00", None, limit=500))
 
-    proc = spawn(sim, scan_all())
-    cluster.run_until(lambda: proc.triggered, limit=60.0, what="scan")
-    rows = proc.result()
+    rows = run_process(sim, scan_all(), 60.0)
     scanned = {key: columns[b"c"].value for key, columns in rows}
     assert scanned == expected
     assert [k for k, _ in rows] == sorted(expected)

@@ -5,9 +5,9 @@ import pytest
 from repro.core import (DatastoreError, Role, SpinnakerCluster,
                         SpinnakerConfig)
 from repro.core.loadbalance import plan_rebalance, transfer_leadership
-from repro.core.partition import RangePartitioner, key_of
+from repro.core.partition import RangePartitioner
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 
 
 def make_cluster(n=5, seed=41):
@@ -19,38 +19,22 @@ def make_cluster(n=5, seed=41):
     return cluster
 
 
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
-
-
-def cohort_keys(cluster, cohort_id, count):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = b"lb-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def test_transfer_moves_leadership_without_data_loss():
     cluster = make_cluster()
     client = cluster.client()
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 8)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 8, b"lb-")
 
     def before():
         for key in keys[:4]:
             yield from client.put(key, b"c", b"pre")
 
-    run(cluster, before())
+    run_process(cluster.sim, before(), 60.0)
     old_leader = cluster.leader_of(cohort_id)
     replica = cluster.replica(old_leader, cohort_id)
     successor = replica.peers()[0]
-    ok = run(cluster, transfer_leadership(replica, successor))
+    ok = run_process(cluster.sim, transfer_leadership(replica, successor),
+                     60.0)
     assert ok is True
     cluster.run_until(lambda: cluster.leader_of(cohort_id) == successor,
                       limit=30.0, what="handoff")
@@ -66,7 +50,7 @@ def test_transfer_moves_leadership_without_data_loss():
             yield from client.put(key, b"c", b"post")
         return out
 
-    results = run(cluster, after())
+    results = run_process(cluster.sim, after(), 60.0)
     assert all(r.found and r.value == b"pre" for r in results)
     assert cluster.all_failures() == []
     # Old leader never died: it serves as a follower now.
@@ -80,7 +64,8 @@ def test_transfer_bumps_epoch():
     replica = cluster.replica(old_leader, cohort_id)
     epoch_before = replica.epoch
     successor = replica.peers()[0]
-    assert run(cluster, transfer_leadership(replica, successor))
+    assert run_process(cluster.sim, transfer_leadership(replica, successor),
+                       60.0)
     cluster.run_until(lambda: cluster.leader_of(cohort_id) == successor,
                       limit=30.0, what="handoff")
     assert cluster.replica(successor, cohort_id).epoch > epoch_before
@@ -94,7 +79,8 @@ def test_transfer_refused_from_non_leader():
                     cluster.partitioner.cohort(cohort_id).members
                     if m != leader)
     replica = cluster.replica(follower, cohort_id)
-    assert run(cluster, transfer_leadership(replica, leader)) is False
+    assert run_process(cluster.sim, transfer_leadership(replica, leader),
+                       60.0) is False
 
 
 def test_transfer_refused_to_non_member():
@@ -104,7 +90,8 @@ def test_transfer_refused_to_non_member():
     replica = cluster.replica(leader, cohort_id)
     outsider = next(n for n in cluster.nodes
                     if n not in replica.cohort.members)
-    assert run(cluster, transfer_leadership(replica, outsider)) is False
+    assert run_process(cluster.sim, transfer_leadership(replica, outsider),
+                       60.0) is False
     assert cluster.leader_of(cohort_id) == leader
 
 
@@ -115,7 +102,8 @@ def test_transfer_to_dead_successor_fails_cleanly():
     replica = cluster.replica(leader, cohort_id)
     victim = replica.peers()[0]
     cluster.crash_node(victim)
-    assert run(cluster, transfer_leadership(replica, victim)) is False
+    assert run_process(cluster.sim, transfer_leadership(replica, victim),
+                       60.0) is False
     assert cluster.leader_of(cohort_id) == leader
     assert replica.open_for_writes
 
@@ -127,13 +115,13 @@ def test_leader_crash_mid_drain_degrades_to_election():
     cluster = make_cluster(seed=43)
     client = cluster.client()
     cohort_id = 0
-    keys = cohort_keys(cluster, cohort_id, 10)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 10, b"lb-")
 
     def committed():
         for key in keys[:6]:
             yield from client.put(key, b"c", b"durable")
 
-    run(cluster, committed())
+    run_process(cluster.sim, committed(), 60.0)
     leader_name = cluster.leader_of(cohort_id)
     replica = cluster.replica(leader_name, cohort_id)
     successor = replica.peers()[0]
@@ -151,9 +139,7 @@ def test_leader_crash_mid_drain_degrades_to_election():
     assert not handoff.triggered            # still draining
     cluster.kill_leader(cohort_id)
     cluster.network.heal()
-    cluster.run_until(lambda: handoff.triggered, limit=30.0,
-                      what="handoff aborts")
-    assert handoff.result() is False
+    assert run_process(cluster.sim, handoff, 30.0) is False
     cluster.run_until(lambda: cluster.leader_of(cohort_id) is not None,
                       limit=30.0, what="re-election")
     assert cluster.leader_of(cohort_id) != leader_name
@@ -170,7 +156,8 @@ def test_leader_crash_mid_drain_degrades_to_election():
         acked.append(key)
     reader = cluster.client("client1")
     for key in acked:
-        got = run(cluster, reader.get(key, b"c", consistent=True))
+        got = run_process(cluster.sim, reader.get(key, b"c", consistent=True),
+                          60.0)
         assert got.found, key
     assert cluster.all_failures() == []
 
@@ -183,13 +170,13 @@ def test_successor_crash_after_naming_degrades_to_election():
     cluster = make_cluster(seed=47)
     client = cluster.client()
     cohort_id = 1
-    keys = cohort_keys(cluster, cohort_id, 4)
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 4, b"lb-")
 
     def before():
         for key in keys:
             yield from client.put(key, b"c", b"durable")
 
-    run(cluster, before())
+    run_process(cluster.sim, before(), 60.0)
     leader_name = cluster.leader_of(cohort_id)
     replica = cluster.replica(leader_name, cohort_id)
     successor = replica.peers()[0]
@@ -207,9 +194,7 @@ def test_successor_crash_after_naming_degrades_to_election():
 
     handoff = spawn(cluster.sim, transfer_leadership(replica, successor))
     handoff.add_callback(_crash_successor)
-    cluster.run_until(lambda: handoff.triggered, limit=30.0,
-                      what="handoff")
-    assert handoff.result() is True
+    assert run_process(cluster.sim, handoff, 30.0) is True
     if state.get("session") is not None:
         cluster.coord.expire_session_now(state["session"])
     # The leader znode still belongs to the old leader's live session,
@@ -222,7 +207,8 @@ def test_successor_crash_after_naming_degrades_to_election():
     assert cluster.replica(new_leader, cohort_id).open_for_writes
     reader = cluster.client("client1")
     for key in keys:
-        got = run(cluster, reader.get(key, b"c", consistent=True))
+        got = run_process(cluster.sim, reader.get(key, b"c", consistent=True),
+                          60.0)
         assert got.found and got.value == b"durable"
     assert cluster.all_failures() == []
 
@@ -281,7 +267,8 @@ def test_end_to_end_rebalance_after_failover():
     assert moves
     for moved_cohort, src, dst in moves:
         replica = cluster.replica(src, moved_cohort)
-        assert run(cluster, transfer_leadership(replica, dst)) is True
+        assert run_process(cluster.sim, transfer_leadership(replica, dst),
+                           60.0) is True
         cluster.run_until(
             lambda: cluster.leader_of(moved_cohort) == dst,
             limit=30.0, what="rebalance handoff")

@@ -4,9 +4,8 @@ import pytest
 
 from repro.core import (DatastoreError, SpinnakerCluster, SpinnakerConfig,
                         Transaction, VersionMismatch)
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 
 
 @pytest.fixture
@@ -19,26 +18,9 @@ def cluster():
     assert cl.all_failures() == []
 
 
-def run(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="txn")
-    return proc.result()
-
-
-def cohort_keys(cluster, cohort_id, count, prefix=b"tx"):
-    keys, i = [], 0
-    while len(keys) < count:
-        key = prefix + b"-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def test_multi_row_transaction_commits_atomically(cluster):
     client = cluster.client()
-    k1, k2 = cohort_keys(cluster, 0, 2)
+    k1, k2 = cluster.partitioner.keys_in_cohort(0, 2, b"tx-")
 
     def scenario():
         txn = Transaction(client)
@@ -49,13 +31,13 @@ def test_multi_row_transaction_commits_atomically(cluster):
         b = yield from client.get(k2, b"balance", consistent=True)
         return a, b
 
-    a, b = run(cluster, scenario())
+    a, b = run_process(cluster.sim, scenario(), 60.0)
     assert a.value == b"90" and b.value == b"110"
 
 
 def test_transaction_conditional_abort_leaves_no_effects(cluster):
     client = cluster.client()
-    k1, k2 = cohort_keys(cluster, 1, 2)
+    k1, k2 = cluster.partitioner.keys_in_cohort(1, 2, b"tx-")
 
     def scenario():
         yield from client.put(k1, b"c", b"old")   # version 1
@@ -72,15 +54,15 @@ def test_transaction_conditional_abort_leaves_no_effects(cluster):
         original = yield from client.get(k1, b"c", consistent=True)
         return untouched, original
 
-    untouched, original = run(cluster, scenario())
+    untouched, original = run_process(cluster.sim, scenario(), 60.0)
     assert not untouched.found          # nothing leaked
     assert original.value == b"old"
 
 
 def test_cross_cohort_transaction_rejected_client_side(cluster):
     client = cluster.client()
-    k_a = cohort_keys(cluster, 0, 1)[0]
-    k_b = cohort_keys(cluster, 2, 1)[0]
+    k_a = cluster.partitioner.keys_in_cohort(0, 1, b"tx-")[0]
+    k_b = cluster.partitioner.keys_in_cohort(2, 1, b"tx-")[0]
     txn = Transaction(client)
     txn.put(k_a, b"c", b"x")
     with pytest.raises(DatastoreError):
@@ -89,7 +71,7 @@ def test_cross_cohort_transaction_rejected_client_side(cluster):
 
 def test_empty_and_double_commit_rejected(cluster):
     client = cluster.client()
-    k = cohort_keys(cluster, 0, 1)[0]
+    k = cluster.partitioner.keys_in_cohort(0, 1, b"tx-")[0]
     empty = Transaction(client)
     with pytest.raises(DatastoreError):
         # Generators raise on first resume; drive it.
@@ -101,14 +83,14 @@ def test_empty_and_double_commit_rejected(cluster):
         yield from txn.commit()
         return txn
 
-    txn = run(cluster, scenario())
+    txn = run_process(cluster.sim, scenario(), 60.0)
     with pytest.raises(DatastoreError):
         txn.put(k, b"c", b"again")
 
 
 def test_transaction_versions_advance_per_column(cluster):
     client = cluster.client()
-    k = cohort_keys(cluster, 0, 1)[0]
+    k = cluster.partitioner.keys_in_cohort(0, 1, b"tx-")[0]
 
     def scenario():
         txn = Transaction(client)
@@ -117,14 +99,14 @@ def test_transaction_versions_advance_per_column(cluster):
         yield from txn.commit()
         return (yield from client.get(k, b"c", consistent=True))
 
-    got = run(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"v2"
     assert got.version == 2
 
 
 def test_transaction_survives_leader_failover(cluster):
     client = cluster.client()
-    keys = cohort_keys(cluster, 0, 4)
+    keys = cluster.partitioner.keys_in_cohort(0, 4, b"tx-")
 
     def write_txn():
         txn = Transaction(client)
@@ -132,7 +114,7 @@ def test_transaction_survives_leader_failover(cluster):
             txn.put(key, b"c", b"t%d" % i)
         yield from txn.commit()
 
-    run(cluster, write_txn())
+    run_process(cluster.sim, write_txn(), 60.0)
     cluster.kill_leader(0)
     cluster.run_until(lambda: cluster.leader_of(0) is not None,
                       limit=30.0, what="re-election")
@@ -144,7 +126,7 @@ def test_transaction_survives_leader_failover(cluster):
                                               consistent=True)))
         return out
 
-    results = run(cluster, read_all())
+    results = run_process(cluster.sim, read_all(), 60.0)
     # All or nothing: the committed transaction is fully visible.
     assert all(r.found for r in results)
 
@@ -153,7 +135,7 @@ def test_atomic_force_no_partial_batch_after_crash(cluster):
     """Crash every node right after the transaction is proposed; on
     recovery either the whole batch is present or none of it."""
     client = cluster.client()
-    keys = cohort_keys(cluster, 0, 3)
+    keys = cluster.partitioner.keys_in_cohort(0, 3, b"tx-")
 
     def write_txn():
         txn = Transaction(client)
@@ -177,6 +159,6 @@ def test_atomic_force_no_partial_batch_after_crash(cluster):
                                               consistent=True)))
         return out
 
-    results = run(cluster, read_all())
+    results = run_process(cluster.sim, read_all(), 60.0)
     presence = {r.found for r in results}
     assert len(presence) == 1, "partial transaction visible after crash"

@@ -5,9 +5,8 @@ import pytest
 
 from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.messages import WhoIsLeader
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 
 
 @pytest.fixture
@@ -17,12 +16,6 @@ def cluster():
     cl = SpinnakerCluster(n_nodes=5, config=cfg, seed=27)
     cl.start()
     return cl
-
-
-def run(cluster, gen, limit=30.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
 
 
 def test_write_to_non_replica_gets_wrong_node(cluster):
@@ -38,7 +31,7 @@ def test_write_to_non_replica_gets_wrong_node(cluster):
         reply = yield client.endpoint.request(outsider, msg, size=128)
         return reply
 
-    reply = run(cluster, scenario())
+    reply = run_process(cluster.sim, scenario(), 30.0)
     assert reply == {"ok": False, "code": "wrong-node",
                      "map_version": cluster.partitioner.version}
 
@@ -55,7 +48,7 @@ def test_client_recovers_from_misrouted_cache(cluster):
         yield from client.put(key, b"c", b"v")
         return (yield from client.get(key, b"c", consistent=True))
 
-    got = run(cluster, scenario())
+    got = run_process(cluster.sim, scenario(), 30.0)
     assert got.value == b"v"
 
 
@@ -69,7 +62,7 @@ def test_who_is_leader(cluster):
             member, WhoIsLeader(cohort_id=cohort_id), size=64)
         return reply
 
-    reply = run(cluster, scenario())
+    reply = run_process(cluster.sim, scenario(), 30.0)
     assert reply["leader"] == cluster.leader_of(cohort_id)
 
 
@@ -85,7 +78,7 @@ def test_unknown_cohort_message_is_ignored(cluster):
         except Exception:
             return "dropped"
 
-    assert run(cluster, scenario()) == "dropped"
+    assert run_process(cluster.sim, scenario(), 30.0) == "dropped"
     assert cluster.all_failures() == []
 
 
@@ -101,7 +94,6 @@ def test_watch_events_reach_zk_client_through_dispatcher(cluster):
                                watcher=lambda ev: fired.append(ev.kind))
         yield from node.zk.set_data("/probe", b"y")
 
-    proc = node.spawn(scenario(), "probe")
-    cluster.run_until(lambda: proc.triggered, limit=30.0, what="watch")
+    run_process(cluster.sim, node.spawn(scenario(), "probe"), 30.0)
     cluster.run(0.5)
     assert fired == ["changed"]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.partition import KeyRange, RangePartitioner, key_of
+from repro.core.partition import (KeyRange, RangePartitioner, key_of,
+                                  ordered_key_of)
 
 
 def test_five_node_layout_matches_paper_figure_2():
@@ -134,3 +135,20 @@ def test_split_boundaries_route_correctly():
         version=2, kind="split", cohort_id=1,
         new_members=("F", "B", "C"), split_key=mid, new_cohort_id=5))
     assert part.version == 2
+
+
+@pytest.mark.parametrize("mapper", [key_of, ordered_key_of])
+def test_keys_in_cohort_route_to_the_cohort(mapper):
+    part = RangePartitioner([f"n{i}" for i in range(5)],
+                            key_mapper=mapper)
+    # Ordered keys share their first four bytes with the prefix, so an
+    # empty prefix is what lets the digits pick the cohort.
+    prefix = b"" if mapper is ordered_key_of else b"kc-"
+    for cohort_id in (0, 1):
+        keys = part.keys_in_cohort(cohort_id, 7, prefix)
+        assert len(keys) == len(set(keys)) == 7
+        assert all(k.startswith(prefix) for k in keys)
+        assert all(part.locate(k).cohort_id == cohort_id for k in keys)
+    assert part.keys_in_cohort(0, 3, prefix) == [
+        k for k in (prefix + b"%d" % i for i in range(1000))
+        if part.locate(k).cohort_id == 0][:3]

@@ -10,7 +10,7 @@ from repro.core.partition import (KeyRange, MembershipChange,
 from repro.core.rebalance import Rebalancer, plan_join, plan_replace
 from repro.core.replication import Role
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 
 
 def fast_config(**overrides):
@@ -28,29 +28,11 @@ def make_cluster(n=5, seed=11, **overrides):
     return cluster
 
 
-def run_client(cluster, gen, limit=60.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="client op")
-    return proc.result()
-
-
-def keys_for_cohort(cluster, cohort_id, count):
-    keys = []
-    i = 0
-    while len(keys) < count:
-        key = b"rk-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 def write_keys(cluster, client, keys, value=b"v"):
     def writer():
         for key in keys:
             yield from client.put(key, b"c", value)
-    run_client(cluster, writer(), limit=120.0)
+    run_process(cluster.sim, writer(), 120.0)
 
 
 def assert_readable(cluster, client, keys, value=b"v"):
@@ -61,16 +43,14 @@ def assert_readable(cluster, client, keys, value=b"v"):
             timeline = yield from client.get(key, b"c", consistent=False)
             out.append((strong.value, timeline.value))
         return out
-    got = run_client(cluster, reader(), limit=240.0)
+    got = run_process(cluster.sim, reader(), 240.0)
     assert got == [(value, value)] * len(keys)
 
 
 def rebalance(cluster, plans, limit=120.0, **kwargs):
     reb = Rebalancer(cluster)
-    proc = spawn(cluster.sim, reb.execute(plans, **kwargs))
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="rebalance")
-    proc.result()     # re-raise any driver failure
+    run_process(cluster.sim, reb.execute(plans, **kwargs), limit,
+                what="rebalance")
     assert reb.done
     return reb
 
@@ -131,7 +111,7 @@ def test_plan_replace_validates_membership():
 def test_live_split_moves_range_to_new_node():
     cluster = make_cluster()
     client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 20)
+    keys = cluster.partitioner.keys_in_cohort(0, 20, b"rk-")
     write_keys(cluster, client, keys)
 
     cluster.add_node("node5")
@@ -165,7 +145,7 @@ def test_live_split_under_sustained_load():
     # the load must ride that window out rather than fail.
     cluster = make_cluster(client_op_timeout=30.0, client_max_retries=600)
     client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 30)
+    keys = cluster.partitioner.keys_in_cohort(0, 30, b"rk-")
     write_keys(cluster, client, keys)
 
     stop = []
@@ -188,9 +168,7 @@ def test_live_split_under_sustained_load():
     rebalance(cluster, plans)
     writes_during = progress["writes"]
     stop.append(True)
-    cluster.run_until(lambda: load_proc.triggered, limit=30.0,
-                      what="load drain")
-    load_proc.result()
+    run_process(cluster.sim, load_proc, 30.0, what="load drain")
 
     assert writes_during > 0      # writes kept flowing through the move
     fresh = cluster.client("fresh")
@@ -199,14 +177,14 @@ def test_live_split_under_sustained_load():
         for key in keys:
             got = yield from fresh.get(key, b"c", consistent=True)
             assert got.value.startswith(b"w")
-    run_client(cluster, verify(), limit=240.0)
+    run_process(cluster.sim, verify(), 240.0)
     assert cluster.all_failures() == []
 
 
 def test_replace_move_swaps_follower_for_new_node():
     cluster = make_cluster()
     client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 15)
+    keys = cluster.partitioner.keys_in_cohort(0, 15, b"rk-")
     write_keys(cluster, client, keys)
 
     cluster.add_node("node5")
@@ -231,7 +209,7 @@ def test_replace_move_swaps_follower_for_new_node():
 def test_stale_client_refreshes_map_on_wrong_node():
     cluster = make_cluster()
     stale = cluster.client()          # snapshot taken now, at version 1
-    keys = keys_for_cohort(cluster, 0, 20)
+    keys = cluster.partitioner.keys_in_cohort(0, 20, b"rk-")
     write_keys(cluster, stale, keys)
 
     cluster.add_node("node5")
@@ -255,7 +233,7 @@ def test_stale_client_refreshes_map_on_wrong_node():
     def scenario():
         return (yield from stale.get(moved, b"c", consistent=True))
 
-    got = run_client(cluster, scenario(), limit=60.0)
+    got = run_process(cluster.sim, scenario(), 60.0)
     assert got.value == b"v"
     assert stale.map_refreshes >= 1
     assert stale.map_version == cluster.partitioner.version
@@ -289,7 +267,7 @@ def test_scan_after_split_returns_each_row_once():
     def scan_all():
         return (yield from fresh.scan(keys[0], limit=100,
                                       consistent=True))
-    rows = run_client(cluster, scan_all(), limit=120.0)
+    rows = run_process(cluster.sim, scan_all(), 120.0)
     assert [key for key, _cols in rows] == keys
     assert cluster.all_failures() == []
 
@@ -310,9 +288,7 @@ def run_move_with_crash(cluster, plans, crash, limit=240.0):
                       what="first migration attempt")
     cluster.run(0.05)                 # land mid-move
     crash(plans[0])
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="rebalance after crash")
-    proc.result()
+    run_process(cluster.sim, proc, limit, what="rebalance after crash")
     assert reb.done
     cluster.run(2.0)                  # settle before the final audit
     audit_proc.interrupt("done")
@@ -331,14 +307,13 @@ def split_plan_for_cohort0(cluster):
 def test_split_survives_joining_node_crash():
     cluster = make_cluster(seed=17)
     client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 15)
+    keys = cluster.partitioner.keys_in_cohort(0, 15, b"rk-")
     write_keys(cluster, client, keys)
     cluster.add_node("node5")
     plans = split_plan_for_cohort0(cluster)
 
     def crash(_change):
-        cluster.crash_node("node5")
-        cluster.expire_session_of("node5")
+        cluster.crash_node("node5", skip_detection=True)
         cluster.run(1.0)
         cluster.restart_node("node5")
 
@@ -352,7 +327,7 @@ def test_split_survives_joining_node_crash():
 def test_split_survives_migration_leader_crash():
     cluster = make_cluster(seed=23)
     client = cluster.client()
-    keys = keys_for_cohort(cluster, 0, 15)
+    keys = cluster.partitioner.keys_in_cohort(0, 15, b"rk-")
     write_keys(cluster, client, keys)
     cluster.add_node("node5")
     plans = split_plan_for_cohort0(cluster)

@@ -18,9 +18,8 @@ skipped-LSN list and deliver epochs 1 and 2 up to 2.30.
 import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.lsn import LSN
 from repro.storage.records import CommitMarker, WriteRecord
 
@@ -93,23 +92,14 @@ def test_s2_b_wins_with_max_lst_and_discards_1_22(world):
 
 def new_writes(cluster, client, count):
     """Write ``count`` fresh values routed to cohort COHORT."""
-    keys = []
-    i = 0
-    while len(keys) < count:
-        key = b"new-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == COHORT:
-            keys.append(key)
-        i += 1
+    keys = cluster.partitioner.keys_in_cohort(COHORT, count, b"new-")
 
     def _go():
         for key in keys:
             yield from client.put(key, b"c", b"fresh")
         return keys
 
-    proc = spawn(cluster.sim, _go())
-    cluster.run_until(lambda: proc.triggered, limit=60.0, what="new writes")
-    return proc.result()
+    return run_process(cluster.sim, _go(), 60.0)
 
 
 def test_s3_new_writes_use_epoch_2(world):

@@ -5,9 +5,8 @@ import pytest
 
 from repro.core import Role, SpinnakerCluster, SpinnakerConfig
 from repro.core.messages import Ack, Commit, Propose
-from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 from repro.storage.lsn import LSN
 from repro.storage.records import WriteRecord
 
@@ -139,20 +138,13 @@ def test_piggybacked_commit_info_applies_at_follower():
     cluster = make_cluster(piggyback_commits=True)
     client = cluster.client()
     cohort_id = 0
-    keys, i = [], 0
-    while len(keys) < 3:
-        key = b"pb-%d" % i
-        if cluster.partitioner.cohort_for_key(
-                key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
+    keys = cluster.partitioner.keys_in_cohort(cohort_id, 3, b"pb-")
 
     def writes():
         for key in keys:
             yield from client.put(key, b"c", b"v")
 
-    proc = spawn(cluster.sim, writes())
-    cluster.run_until(lambda: proc.triggered, limit=30.0, what="writes")
+    run_process(cluster.sim, writes(), 30.0)
     # Followers learned commit state from piggybacked info on the NEXT
     # propose — well before any commit_period tick.
     leader, follower = leader_and_follower(cluster, cohort_id)

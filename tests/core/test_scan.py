@@ -5,7 +5,7 @@ import pytest
 from repro.core import (DatastoreError, SpinnakerCluster, SpinnakerConfig)
 from repro.core.partition import ordered_key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process
 from repro.storage.engine import StorageEngine
 from repro.storage.lsn import LSN
 from repro.storage.records import WriteRecord
@@ -94,12 +94,6 @@ def ordered_cluster():
     assert cluster.all_failures() == []
 
 
-def run(cluster, gen, limit=120.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit, what="proc")
-    return proc.result()
-
-
 def test_scan_within_and_across_cohorts(ordered_cluster):
     cluster = ordered_cluster
     client = cluster.client()
@@ -110,7 +104,7 @@ def test_scan_within_and_across_cohorts(ordered_cluster):
         for i, key in enumerate(keys):
             yield from client.put(key, b"c", b"v%d" % i)
 
-    run(cluster, write_all())
+    run_process(cluster.sim, write_all(), 120.0)
     # Keys land on multiple distinct cohorts.
     cohorts = {cluster.partitioner.locate(k).cohort_id for k in keys}
     assert len(cohorts) >= 3
@@ -118,13 +112,13 @@ def test_scan_within_and_across_cohorts(ordered_cluster):
     def scan_all():
         return (yield from client.scan(b"\x00", None, limit=100))
 
-    rows = run(cluster, scan_all())
+    rows = run_process(cluster.sim, scan_all(), 120.0)
     assert [k for k, _ in rows] == sorted(keys)
 
     def scan_middle():
         return (yield from client.scan(keys[2], keys[7], limit=100))
 
-    rows = run(cluster, scan_middle())
+    rows = run_process(cluster.sim, scan_middle(), 120.0)
     assert [k for k, _ in rows] == sorted(keys)[2:7]
 
 
@@ -137,12 +131,12 @@ def test_scan_respects_limit_across_cohorts(ordered_cluster):
         for key in keys:
             yield from client.put(key, b"c", b"v")
 
-    run(cluster, write_all())
+    run_process(cluster.sim, write_all(), 120.0)
 
     def scan_limited():
         return (yield from client.scan(b"\x00", None, limit=7))
 
-    rows = run(cluster, scan_limited())
+    rows = run_process(cluster.sim, scan_limited(), 120.0)
     assert len(rows) == 7
     assert [k for k, _ in rows] == sorted(keys)[:7]
 
@@ -156,7 +150,7 @@ def test_scan_values_and_versions(ordered_cluster):
         yield from client.put(b"A-key", b"name", b"ada2")
         return (yield from client.scan(b"A", b"B"))
 
-    rows = run(cluster, scenario())
+    rows = run_process(cluster.sim, scenario(), 120.0)
     assert len(rows) == 1
     key, columns = rows[0]
     assert key == b"A-key"
@@ -176,7 +170,7 @@ def test_scan_rejected_on_hashed_cluster():
         except DatastoreError:
             return "rejected"
 
-    assert run(cluster, scenario()) == "rejected"
+    assert run_process(cluster.sim, scenario(), 120.0) == "rejected"
 
 
 def test_timeline_scan_after_commit_period(ordered_cluster):
@@ -187,12 +181,12 @@ def test_timeline_scan_after_commit_period(ordered_cluster):
         for b in (10, 20, 30):
             yield from client.put(bytes([b]), b"c", b"v")
 
-    run(cluster, write_all())
+    run_process(cluster.sim, write_all(), 120.0)
     cluster.run(1.0)  # commit messages propagate
 
     def scan_timeline():
         return (yield from client.scan(b"\x00", b"\xff",
                                        consistent=False))
 
-    rows = run(cluster, scan_timeline())
+    rows = run_process(cluster.sim, scan_timeline(), 120.0)
     assert [k for k, _ in rows] == [bytes([10]), bytes([20]), bytes([30])]

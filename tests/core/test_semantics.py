@@ -12,7 +12,7 @@ import pytest
 from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.core.partition import key_of
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn, timeout
+from repro.sim.process import run_process, spawn, timeout
 
 
 def make_cluster(seed=71, **overrides):
@@ -99,8 +99,7 @@ def test_followers_lag_by_at_most_one_commit_period():
     def write_one():
         yield from client.put(key, b"c", b"fresh")
 
-    proc = spawn(cluster.sim, write_one())
-    cluster.run_until(lambda: proc.triggered, limit=30.0, what="write")
+    run_process(cluster.sim, write_one(), 30.0)
     t_commit = cluster.sim.now
     followers = [m for m in cohort.members
                  if m != cluster.leader_of(cohort.cohort_id)]
@@ -132,8 +131,7 @@ def run_scripted_cluster(seed):
         got = yield from client.get(b"det-3", b"c", consistent=True)
         log.append((round(cluster.sim.now, 9), got.value))
 
-    proc = spawn(cluster.sim, script())
-    cluster.run_until(lambda: proc.triggered, limit=60.0, what="script")
+    run_process(cluster.sim, script(), 60.0)
     cluster.kill_leader(0)
     cluster.run_until(lambda: cluster.leader_of(0) is not None,
                       limit=30.0, what="failover")

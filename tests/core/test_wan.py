@@ -14,7 +14,7 @@ from repro.chaos import FaultEvent, arm_schedule
 from repro.core import SpinnakerCluster, SpinnakerConfig
 from repro.obs import RequestTracer
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 from repro.sim.topology import Topology
 
 
@@ -24,13 +24,6 @@ def fast_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
-
-
-def run_client(cluster, gen, limit=30.0):
-    proc = spawn(cluster.sim, gen)
-    cluster.run_until(lambda: proc.triggered, limit=limit,
-                      what="client op")
-    return proc.result()
 
 
 # -- satellite 1: per-try / map-refresh budgets derive from the RTT ----------
@@ -70,7 +63,7 @@ def test_cross_wan_put_succeeds_without_burning_retries():
         got = yield from client.get(b"far", b"c", consistent=True)
         return put, got
 
-    put, got = run_client(cluster=cl, gen=scenario(), limit=60.0)
+    put, got = run_process(cl.sim, scenario(), 60.0)
     assert put.version == 1
     assert got.found and got.value == b"away"
     assert client.retries == 0
@@ -216,7 +209,7 @@ def test_route_spans_mark_wan_hops():
         yield from remote.put(b"k", b"c", b"v")   # crosses into dc0
         yield from local.get(b"k", b"c", consistent=True)
 
-    run_client(cl, scenario())
+    run_process(cl.sim, scenario(), 30.0)
     routes = [s for s in tracer.spans() if s.name == "route"]
     assert routes
     # Leaders sit in the preferred DC, so every route lands in dc0 …

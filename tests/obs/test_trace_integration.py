@@ -9,7 +9,7 @@ from repro.core.partition import key_of
 from repro.obs import (WRITE_PHASES, RequestTracer, collect_traces,
                        phase_durations)
 from repro.sim.disk import DiskProfile
-from repro.sim.process import spawn
+from repro.sim.process import run_process, spawn
 
 
 def _traced_cluster(n_nodes=3, seed=3, config=None, sample_every=1):
@@ -20,19 +20,6 @@ def _traced_cluster(n_nodes=3, seed=3, config=None, sample_every=1):
     return cluster, tracer
 
 
-def _cohort_keys(cluster, cohort_id, count, prefix=b"bk"):
-    """Deterministic keys all routed to one cohort."""
-    part = cluster.partitioner
-    keys = []
-    i = 0
-    while len(keys) < count:
-        key = prefix + b"-%d" % i
-        if part.cohort_for_key(key_of(key)).cohort_id == cohort_id:
-            keys.append(key)
-        i += 1
-    return keys
-
-
 class TestWriteTrace:
     def test_write_trace_has_every_phase_once(self):
         cluster, tracer = _traced_cluster()
@@ -41,8 +28,7 @@ class TestWriteTrace:
         def wl():
             yield from client.put(b"k", b"v", b"x" * 64)
 
-        proc = spawn(cluster.sim, wl(), name="wl")
-        cluster.run_until(lambda: proc.triggered, limit=30.0)
+        run_process(cluster.sim, wl(), 30.0)
         views = collect_traces(tracer, op="write")
         assert len(views) == 1
         view = views[0]
@@ -70,8 +56,7 @@ class TestWriteTrace:
             got = yield from client.get(b"k", b"v", consistent=True)
             assert got.value == b"val"
 
-        proc = spawn(cluster.sim, wl(), name="wl")
-        cluster.run_until(lambda: proc.triggered, limit=30.0)
+        run_process(cluster.sim, wl(), 30.0)
         reads = collect_traces(tracer, op="read")
         assert len(reads) == 1
         names = [s.name for s in reads[0].spans]
@@ -85,8 +70,7 @@ class TestWriteTrace:
             for i in range(3):
                 yield from client.put(b"k%d" % i, b"v", b"x")
 
-        proc = spawn(cluster.sim, wl(), name="wl")
-        cluster.run_until(lambda: proc.triggered, limit=30.0)
+        run_process(cluster.sim, wl(), 30.0)
         assert tracer.spans() == []
         # 3 writes plus any startup catch-up begins, all unsampled.
         assert tracer.skipped >= 3
@@ -99,8 +83,7 @@ class TestWriteTrace:
         def wl():
             yield from client.put(b"k", b"v", b"x")
 
-        proc = spawn(cluster.sim, wl(), name="wl")
-        cluster.run_until(lambda: proc.triggered, limit=30.0)
+        run_process(cluster.sim, wl(), 30.0)
         assert cluster.request_tracer.spans() == []
 
 
@@ -182,7 +165,7 @@ class TestBatchedForceAttribution:
         client = cluster.client("c0")
         cohort = cluster.partitioner.cohort_for_key(key_of(b"bk-0"))
         cid = cohort.cohort_id
-        keys = _cohort_keys(cluster, cid, 12)
+        keys = cluster.partitioner.keys_in_cohort(cid, 12, b"bk-")
         done = {"n": 0}
 
         def one(key):

@@ -1,8 +1,8 @@
-"""Tests for metrics collection and deterministic RNG streams."""
+"""Tests for latency histograms and deterministic RNG streams."""
 
 import math
 
-from repro.sim.metrics import Histogram, LatencyRecorder, summarize
+from repro.sim.metrics import Histogram
 from repro.sim.rng import RngRegistry
 
 
@@ -22,38 +22,6 @@ def test_histogram_empty_is_nan():
     hist = Histogram()
     assert math.isnan(hist.mean())
     assert math.isnan(hist.percentile(50))
-
-
-def test_recorder_warmup_exclusion():
-    rec = LatencyRecorder(warmup=10.0)
-    rec.record("read", 0.001, completed_at=5.0)   # dropped
-    rec.record("read", 0.002, completed_at=15.0)  # kept
-    assert rec.count("read") == 1
-    assert rec.dropped_warmup == 1
-    assert rec.mean_latency("read") == 0.002
-
-
-def test_recorder_throughput_over_window():
-    rec = LatencyRecorder()
-    for i in range(11):
-        rec.record("op", 0.001, completed_at=float(i))
-    assert rec.throughput() == 11 / 10.0
-
-
-def test_recorder_mean_across_ops_weighted():
-    rec = LatencyRecorder()
-    rec.record("read", 0.001, completed_at=1.0)
-    rec.record("read", 0.001, completed_at=2.0)
-    rec.record("write", 0.004, completed_at=3.0)
-    assert rec.mean_latency() == (0.001 * 2 + 0.004) / 3
-
-
-def test_summarize_shapes():
-    rec = LatencyRecorder()
-    rec.record("read", 0.002, completed_at=1.0)
-    out = summarize(rec)
-    assert out["read"]["count"] == 1
-    assert out["read"]["mean_ms"] == 2.0
 
 
 def test_rng_streams_are_deterministic():

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim.events import Event, SimulationError, Simulator
-from repro.sim.process import (Interrupt, all_of, any_of, quorum, spawn,
-                               timeout)
+from repro.sim.process import (Interrupt, all_of, any_of, quorum,
+                               run_process, spawn, timeout)
 
 
 def test_process_sleeps_and_returns_value():
@@ -208,3 +208,51 @@ def test_quorum_more_than_population_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError):
         quorum(sim, [Event(sim)], need=2)
+
+
+def test_run_process_returns_result_at_a_poll_boundary():
+    sim = Simulator()
+
+    def worker():
+        yield timeout(sim, 0.12)
+        return "done"
+
+    assert run_process(sim, worker(), limit=1.0) == "done"
+    # Polled in 0.05 s slices: the clock stops at the first slice
+    # boundary after completion, not at the completion instant.
+    assert sim.now == pytest.approx(0.15)
+
+
+def test_run_process_timeout_names_what():
+    sim = Simulator()
+
+    def forever():
+        while True:
+            yield timeout(sim, 1.0)
+
+    with pytest.raises(SimulationError, match="the slow thing"):
+        run_process(sim, forever(), limit=2.0, what="the slow thing")
+    assert sim.now == pytest.approx(2.0)
+
+
+def test_run_process_reraises_the_process_exception():
+    sim = Simulator()
+
+    def broken():
+        yield timeout(sim, 0.1)
+        raise KeyError("boom")
+
+    with pytest.raises(KeyError, match="boom"):
+        run_process(sim, broken(), limit=1.0)
+
+
+def test_run_process_waits_on_a_running_process():
+    sim = Simulator()
+
+    def worker():
+        yield timeout(sim, 0.3)
+        return 7
+
+    proc = spawn(sim, worker())
+    sim.run(until=0.1)
+    assert run_process(sim, proc, limit=1.0) == 7
