@@ -10,6 +10,9 @@ slow kernel silently inflates every benchmark's wall time.  Two guards:
   timeout machinery, asserting events-per-second floors generous enough
   to pass on slow CI but far below healthy numbers — a 10x kernel
   regression fails loudly, a 10% one shows up in the benchmark history.
+
+The same kind of floor guards the storage read path, which every
+leader read runs through.
 """
 
 import time
@@ -22,6 +25,9 @@ from repro.sim.events import Event, Simulator
 from repro.sim.metrics import Histogram
 from repro.sim.network import Request, _Envelope
 from repro.sim.process import Process, Timeout, spawn, timeout
+from repro.storage.engine import StorageEngine
+from repro.storage.lsn import LSN
+from repro.storage.records import WriteRecord
 
 #: classes instantiated once (or more) per simulated event/message/write,
 #: plus the open-loop generator state touched on every arrival (heap
@@ -40,6 +46,12 @@ HOT_CLASSES = [Event, Process, Timeout, Request, _Envelope,
 RAW_FLOOR = 1_100_000
 PROCESS_FLOOR = 290_000
 PERCENTILE_FLOOR = 400_000
+# StorageEngine.get over three flushed SSTables: 0.67M-1.3M gets/s
+# (typically ~0.8M) once SSTables answer straight from their exact index,
+# against 49K-68K when every table probe first ran a sha256 bloom filter
+# (same 2-core box).  The floor sits near 45% of the typical new rate and
+# five times above the old one.
+STORAGE_GET_FLOOR = 350_000
 
 
 def test_hot_classes_have_no_dict():
@@ -124,3 +136,38 @@ def test_percentile_calls_use_cached_sort(benchmark):
     assert rate >= PERCENTILE_FLOOR, (
         f"Histogram.percentile at {rate:,.0f} calls/s "
         f"(floor {PERCENTILE_FLOOR:,}); is the sorted view cached?")
+
+
+def _pump_engine_gets(rows_per_table, tables, gets):
+    """Point reads through one engine holding ``tables`` flushed SSTables
+    of distinct rows: each get misses the memtable, probes every table
+    and hits in one of them."""
+    engine = StorageEngine(0)
+    keys = []
+    for _ in range(tables):
+        for _ in range(rows_per_table):
+            seq = len(keys) + 1
+            key = b"row-%06d" % seq
+            keys.append(key)
+            engine.apply(WriteRecord(lsn=LSN(1, seq), cohort_id=0, key=key,
+                                     colname=b"v", value=b"x" * 64,
+                                     version=1))
+        engine.flush()
+    assert len(engine.sstables) == tables
+    probes = [keys[(i * 7919) % len(keys)] for i in range(gets)]
+    start = time.perf_counter()
+    for key in probes:
+        engine.get(key, b"v")
+    return gets / (time.perf_counter() - start)
+
+
+def test_storage_get_throughput(benchmark):
+    rate = benchmark.pedantic(
+        lambda: _pump_engine_gets(rows_per_table=2000, tables=3,
+                                  gets=100_000),
+        rounds=1, iterations=1)
+    print(f"\nengine get over 3 SSTables: {rate:,.0f} gets/s")
+    assert rate >= STORAGE_GET_FLOOR, (
+        f"StorageEngine.get at {rate:,.0f} gets/s "
+        f"(floor {STORAGE_GET_FLOOR:,}); does every SSTable probe do "
+        f"more than one index lookup?")

@@ -16,12 +16,11 @@ comparison isolates the replication protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..baseline import CassandraCluster, CassandraConfig
 from ..core import SpinnakerCluster, SpinnakerConfig
 from ..core.datamodel import RequestTimeout, VersionMismatch
-from ..core.partition import key_of
 from ..sim.metrics import Histogram
 from ..sim.process import spawn
 from ..storage.lsn import LSN
@@ -103,24 +102,21 @@ class SpinnakerTarget:
         local recovery installs them: versions start at 1 and later
         writes (higher epoch after the bootstrap election) win."""
         part = self.cluster.partitioner
-        seqs: Dict[str, Dict[int, int]] = {
-            name: {} for name in self.cluster.nodes}
+        batches: Dict[Tuple[str, int], List[WriteRecord]] = {}
         value = b"x" * value_size
         for key in keys:
-            cohort = part.cohort_for_key(key_of(key))
+            cohort = part.locate(key)
             for member in cohort.members:
-                node = self.cluster.nodes[member]
-                seq = seqs[member].get(cohort.cohort_id, 0) + 1
-                seqs[member][cohort.cohort_id] = seq
-                node.wal.append(WriteRecord(
-                    lsn=LSN(1, seq), cohort_id=cohort.cohort_id, key=key,
-                    colname=b"v", value=value, version=1), force=True)
-        for name, per_cohort in seqs.items():
-            node = self.cluster.nodes[name]
-            for cohort_id, seq in per_cohort.items():
-                node.wal.append(CommitMarker(
-                    lsn=LSN(1, seq), cohort_id=cohort_id,
-                    committed_lsn=LSN(1, seq)), force=False)
+                batch = batches.setdefault((member, cohort.cohort_id), [])
+                batch.append(WriteRecord(
+                    lsn=LSN(1, len(batch) + 1), cohort_id=cohort.cohort_id,
+                    key=key, colname=b"v", value=value, version=1))
+        for (member, _cohort_id), batch in batches.items():
+            self.cluster.nodes[member].wal.append_batch(batch)
+        for (member, cohort_id), batch in batches.items():
+            self.cluster.nodes[member].wal.append(CommitMarker(
+                lsn=batch[-1].lsn, cohort_id=cohort_id,
+                committed_lsn=batch[-1].lsn), force=False)
         self.sim.run(until=self.sim.now + 1.0)  # land the forces
 
     # -- operations ---------------------------------------------------------
@@ -178,7 +174,7 @@ class CassandraTarget:
         part = self.cluster.partitioner
         value = b"x" * value_size
         for key in keys:
-            cohort = part.cohort_for_key(key_of(key))
+            cohort = part.locate(key)
             for member in cohort.members:
                 node = self.cluster.nodes[member]
                 gid = cohort.cohort_id

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -155,22 +156,61 @@ def preference_order(members: Sequence[str], topology) -> Tuple[str, ...]:
                         key=lambda m: topology.dc_of(m) != preferred))
 
 
-def _index_for_key(cohorts: Sequence[Cohort], keyspace: int,
-                   key: int) -> int:
-    """Index (position, not id) of the cohort containing ``key``.
+class _CohortLookup:
+    """Key and id lookups shared by :class:`CohortMap` and
+    :class:`RangePartitioner`.
 
-    Ranges are near-uniform at bootstrap; locate by division then walk.
-    Splits only make the walk a little longer.
+    Subclasses hold ``cohorts`` (sorted by range start, tiling
+    ``[0, keyspace)``), ``keyspace``, ``key_mapper``,
+    ``order_preserving``, ``_by_id`` and ``_starts`` (each cohort's
+    ``key_range.lo``, in order).
     """
-    if not 0 <= key < keyspace:
-        raise ValueError(f"key {key} outside keyspace")
-    idx = min(int(key * len(cohorts) / keyspace), len(cohorts) - 1)
-    while not cohorts[idx].key_range.contains(key):
-        idx += 1 if key >= cohorts[idx].key_range.hi else -1
-    return idx
+
+    cohorts: List[Cohort]
+    keyspace: int
+    _by_id: Dict[int, Cohort]
+    _starts: List[int]
+
+    def _index_for_key(self, key: int) -> int:
+        """Index (position, not id) of the cohort containing ``key``."""
+        if not 0 <= key < self.keyspace:
+            raise ValueError(f"key {key} outside keyspace")
+        return bisect_right(self._starts, key) - 1
+
+    def locate(self, row_key: bytes) -> Cohort:
+        """The cohort responsible for a row key (via the key mapper)."""
+        return self.cohorts[self._index_for_key(self.key_mapper(row_key))]
+
+    def cohort_for_key(self, key: int) -> Cohort:
+        return self.cohorts[self._index_for_key(key)]
+
+    def cohorts_for_range(self, start_key: bytes,
+                          end_key: Optional[bytes]) -> List[Cohort]:
+        """Cohorts intersecting [start_key, end_key), in key order.
+
+        Requires an order-preserving key mapper.
+        """
+        if not self.order_preserving:
+            raise ValueError("range queries need ordered_key_of; "
+                             "construct the partitioner (or cluster) "
+                             "with order-preserving keys")
+        lo = self.key_mapper(start_key)
+        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
+        first = self._index_for_key(lo)
+        last = self._index_for_key(min(hi, self.keyspace - 1))
+        return self.cohorts[first:last + 1]
+
+    def cohort(self, cohort_id: int) -> Cohort:
+        return self._by_id[cohort_id]
+
+    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
+        return self._by_id.get(cohort_id)
+
+    def __len__(self) -> int:
+        return len(self.cohorts)
 
 
-class CohortMap:
+class CohortMap(_CohortLookup):
     """An immutable, versioned snapshot of the cohort layout.
 
     This is what clients route off: cheap to hand out, safe to keep
@@ -191,47 +231,13 @@ class CohortMap:
         self.leader_hints: Dict[int, str] = dict(leader_hints or {})
         self._by_id: Dict[int, Cohort] = {
             c.cohort_id: c for c in self.cohorts}
-
-    # -- lookups -------------------------------------------------------
-    def locate(self, row_key: bytes) -> Cohort:
-        """The cohort responsible for a row key (via the key mapper)."""
-        return self.cohort_for_key(self.key_mapper(row_key))
-
-    def cohort_for_key(self, key: int) -> Cohort:
-        return self.cohorts[_index_for_key(self.cohorts, self.keyspace,
-                                           key)]
-
-    def cohorts_for_range(self, start_key: bytes,
-                          end_key: Optional[bytes]) -> List[Cohort]:
-        """Cohorts intersecting [start_key, end_key), in key order.
-
-        Requires an order-preserving key mapper.
-        """
-        if not self.order_preserving:
-            raise ValueError("range queries need ordered_key_of; "
-                             "construct the partitioner (or cluster) "
-                             "with order-preserving keys")
-        lo = self.key_mapper(start_key)
-        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
-        first = _index_for_key(self.cohorts, self.keyspace, lo)
-        last = _index_for_key(self.cohorts, self.keyspace,
-                              min(hi, self.keyspace - 1))
-        return self.cohorts[first:last + 1]
-
-    def cohort(self, cohort_id: int) -> Cohort:
-        return self._by_id[cohort_id]
-
-    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
-        return self._by_id.get(cohort_id)
+        self._starts = [c.key_range.lo for c in self.cohorts]
 
     def leader_hint(self, cohort_id: int) -> Optional[str]:
         return self.leader_hints.get(cohort_id)
 
-    def __len__(self) -> int:
-        return len(self.cohorts)
 
-
-class RangePartitioner:
+class RangePartitioner(_CohortLookup):
     """Builds and answers questions about the cluster's cohort layout.
 
     ``key_mapper`` converts row keys (bytes) to keyspace integers:
@@ -334,6 +340,7 @@ class RangePartitioner:
     def _reindex(self) -> None:
         self._by_id: Dict[int, Cohort] = {
             c.cohort_id: c for c in self.cohorts}
+        self._starts = [c.key_range.lo for c in self.cohorts]
         self._by_node: Dict[str, List[Cohort]] = {}
         for cohort in self.cohorts:
             for member in cohort.members:
@@ -397,10 +404,6 @@ class RangePartitioner:
                          self.key_mapper, self.leader_hints)
 
     # ------------------------------------------------------------------
-    def locate(self, row_key: bytes) -> Cohort:
-        """The cohort responsible for a row key (via the key mapper)."""
-        return self.cohort_for_key(self.key_mapper(row_key))
-
     def keys_in_cohort(self, cohort_id: int, count: int,
                        prefix: bytes) -> List[bytes]:
         """The first ``count`` keys ``prefix + b"%d" % i`` (i = 0, 1, ...)
@@ -415,39 +418,9 @@ class RangePartitioner:
             i += 1
         return keys
 
-    def cohorts_for_range(self, start_key: bytes,
-                          end_key: bytes) -> List[Cohort]:
-        """Cohorts intersecting [start_key, end_key), in key order.
-
-        Requires an order-preserving key mapper.
-        """
-        if not self.order_preserving:
-            raise ValueError("range queries need ordered_key_of; "
-                             "construct the partitioner (or cluster) "
-                             "with order-preserving keys")
-        lo = self.key_mapper(start_key)
-        hi = self.key_mapper(end_key) if end_key else self.keyspace - 1
-        first = _index_for_key(self.cohorts, self.keyspace, lo)
-        last = _index_for_key(self.cohorts, self.keyspace,
-                              min(hi, self.keyspace - 1))
-        return self.cohorts[first:last + 1]
-
-    def cohort_for_key(self, key: int) -> Cohort:
-        return self.cohorts[_index_for_key(self.cohorts, self.keyspace,
-                                           key)]
-
-    def cohort(self, cohort_id: int) -> Cohort:
-        return self._by_id[cohort_id]
-
-    def cohort_or_none(self, cohort_id: int) -> Optional[Cohort]:
-        return self._by_id.get(cohort_id)
-
     def cohorts_of_node(self, node: str) -> List[Cohort]:
         """The cohorts this node participates in (3 with N=3)."""
         return list(self._by_node.get(node, []))
 
     def peers_of(self, node: str, cohort_id: int) -> List[str]:
         return [m for m in self._by_id[cohort_id].members if m != node]
-
-    def __len__(self) -> int:
-        return len(self.cohorts)

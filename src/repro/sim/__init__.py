@@ -13,7 +13,7 @@ from .resources import Resource, Store, serve
 from .rng import RngRegistry
 from .network import Endpoint, LatencyModel, Network, Request, RpcTimeout
 from .topology import Placement, Topology
-from .disk import DataDisk, DiskProfile, LogDevice
+from .disk import DiskProfile, LogDevice
 from .metrics import Histogram
 from .failure import FailureSchedule
 from .tracing import NullTracer, TraceEvent, Tracer
@@ -26,7 +26,7 @@ __all__ = [
     "RngRegistry",
     "Network", "Endpoint", "LatencyModel", "Request", "RpcTimeout",
     "Topology", "Placement",
-    "LogDevice", "DataDisk", "DiskProfile",
+    "LogDevice", "DiskProfile",
     "Histogram",
     "FailureSchedule",
     "Tracer", "NullTracer", "TraceEvent",

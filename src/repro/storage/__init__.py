@@ -11,7 +11,6 @@ from .records import (CatchupMarker, CheckpointRecord, CommitMarker,
                       LogRecord, WriteRecord, decode_record, encode_record)
 from .wal import DuplicateLSN, SharedLog, StaleLSN
 from .memtable import Cell, Memtable, lsn_order, timestamp_order
-from .bloom import BloomFilter
 from .sstable import SSTable
 from .compaction import SizeTieredPolicy, compact
 from .snapshot import SnapshotManifest
@@ -23,7 +22,7 @@ __all__ = [
     "LogRecord", "encode_record", "decode_record",
     "SharedLog", "DuplicateLSN", "StaleLSN",
     "Cell", "Memtable", "lsn_order", "timestamp_order",
-    "BloomFilter", "SSTable",
+    "SSTable",
     "compact", "SizeTieredPolicy",
     "SnapshotManifest",
     "StorageEngine",

@@ -1,7 +1,7 @@
 """Immutable sorted string tables.
 
 An SSTable is a flushed memtable: (key, column) → cell entries in sorted
-order with a lookup index and a bloom filter.  Each table is tagged with
+order with an exact (key, column) index.  Each table is tagged with
 the **min and max LSN** of the writes it contains (§6.1): when a
 follower's catch-up request can no longer be served from the leader's log
 (rolled over), the leader locates SSTables by these tags and ships them
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from .bloom import BloomFilter
 from .lsn import LSN
 from .memtable import Cell, Memtable
 
@@ -30,25 +29,26 @@ class SSTable:
                  max_lsn: Optional[LSN] = None):
         self.table_id = next(_table_ids)
         self._entries: List[Tuple[bytes, bytes, Cell]] = list(entries)
-        self._index: Dict[Tuple[bytes, bytes], Cell] = {}
-        self._keys: List[bytes] = []
+        index: Dict[Tuple[bytes, bytes], Cell] = {}
+        keys: List[bytes] = []
+        size = 0
         last_key = None
         for key, col, cell in self._entries:
-            self._index[(key, col)] = cell
+            index[(key, col)] = cell
             if key != last_key:
-                self._keys.append(key)
+                keys.append(key)
                 last_key = key
-        self.bloom = BloomFilter(max(1, len(self._entries)))
-        for key, col, _cell in self._entries:
-            self.bloom.add(key + b"\x00" + col)
-        lsns = [cell.lsn for _, _, cell in self._entries]
-        self.min_lsn = min_lsn if min_lsn is not None else (
-            min(lsns) if lsns else LSN.zero())
-        self.max_lsn = max_lsn if max_lsn is not None else (
-            max(lsns) if lsns else LSN.zero())
-        self.bytes_size = sum(
-            len(k) + len(c) + (len(cell.value) if cell.value else 0) + 32
-            for k, c, cell in self._entries)
+            size += len(key) + len(col) + 32 + (
+                len(cell.value) if cell.value else 0)
+        self._index = index
+        self._keys = keys
+        self.bytes_size = size
+        if min_lsn is None or max_lsn is None:
+            lsns = [cell.lsn for _, _, cell in self._entries] or [LSN.zero()]
+            min_lsn = min(lsns) if min_lsn is None else min_lsn
+            max_lsn = max(lsns) if max_lsn is None else max_lsn
+        self.min_lsn = min_lsn
+        self.max_lsn = max_lsn
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -61,9 +61,6 @@ class SSTable:
         return len(self._entries)
 
     def get(self, key: bytes, colname: bytes) -> Optional[Cell]:
-        probe = key + b"\x00" + colname
-        if not self.bloom.might_contain(probe):
-            return None
         return self._index.get((key, colname))
 
     def row(self, key: bytes) -> Dict[bytes, Cell]:

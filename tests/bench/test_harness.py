@@ -7,7 +7,9 @@ from repro.bench.harness import (CassandraTarget, LoadPoint,
 from repro.bench.workload import (Workload, conditional_put_workload,
                                   mixed_workload, read_workload,
                                   write_workload)
+from repro.core import SpinnakerConfig
 from repro.core.partition import key_of
+from repro.sim.process import run_process
 
 
 def test_workload_validation():
@@ -72,6 +74,30 @@ def test_preload_seeds_all_replicas():
             cell = replica.engine.get(key, b"v")
             assert cell is not None, (key, member)
             assert cell.version == 1
+
+
+def test_preload_routes_with_the_cluster_key_mapper():
+    """On an order-preserving-key cluster every preloaded row reads back:
+    the preload routes each row with the cluster's own key mapper, not
+    the hashing default."""
+    target = SpinnakerTarget(
+        n_nodes=5, seed=3,
+        config=SpinnakerConfig(order_preserving_keys=True))
+    keys = [b"row-%06d" % i for i in range(200)]
+    target.preload(keys, value_size=64)
+    target.start()
+    client = target.cluster.client()
+
+    def read_back():
+        results = []
+        for key in keys:
+            results.append((yield from client.get(key, b"v")))
+        return results
+
+    results = run_process(target.sim, read_back(), 60.0)
+    missing = [key for key, got in zip(keys, results) if not got.found]
+    assert not missing
+    assert all(got.version == 1 for got in results)
 
 
 def test_conditional_workload_runs_clean():

@@ -152,3 +152,53 @@ def test_keys_in_cohort_route_to_the_cohort(mapper):
     assert part.keys_in_cohort(0, 3, prefix) == [
         k for k in (prefix + b"%d" % i for i in range(1000))
         if part.locate(k).cohort_id == 0][:3]
+
+
+def _brute_force_cohort(cohorts, key):
+    owners = [c for c in cohorts if c.key_range.contains(key)]
+    assert len(owners) == 1, (key, owners)
+    return owners[0]
+
+
+def _assert_routing_matches_scan(layout, mapper):
+    """Every lookup on ``layout`` agrees with a linear ``contains`` scan:
+    at each range's ``lo`` and ``hi - 1`` and for mapped row keys."""
+    cohorts = layout.cohorts
+    for cohort in cohorts:
+        for key in (cohort.key_range.lo, cohort.key_range.hi - 1):
+            assert layout.cohort_for_key(key) is cohort
+            assert _brute_force_cohort(cohorts, key) is cohort
+    for i in range(300):
+        row_key = b"%d-route" % i
+        expected = _brute_force_cohort(cohorts, mapper(row_key))
+        assert layout.locate(row_key) is expected
+    for key in (-1, layout.keyspace):
+        with pytest.raises(ValueError):
+            layout.cohort_for_key(key)
+
+
+@pytest.mark.parametrize("mapper", [key_of, ordered_key_of])
+def test_bisect_routing_matches_range_scan_across_splits(mapper):
+    from repro.core.partition import MembershipChange
+    part = RangePartitioner([f"n{i}" for i in range(5)],
+                            key_mapper=mapper)
+    before = part.snapshot()
+    _assert_routing_matches_scan(part, mapper)
+    _assert_routing_matches_scan(before, mapper)
+    # Two splits leave uneven ranges, one of them a single key wide.
+    src = part.cohort(1).key_range
+    part.apply_change(MembershipChange(
+        version=2, kind="split", cohort_id=1,
+        new_members=("n5", "n2", "n3"),
+        split_key=src.lo + (src.hi - src.lo) // 3, new_cohort_id=5))
+    last = part.cohort(4).key_range
+    part.apply_change(MembershipChange(
+        version=3, kind="split", cohort_id=4,
+        new_members=("n6", "n0", "n1"), split_key=last.hi - 1,
+        new_cohort_id=6))
+    assert len(part) == 7
+    _assert_routing_matches_scan(part, mapper)
+    _assert_routing_matches_scan(part.snapshot(), mapper)
+    # The snapshot taken before the splits still routes the old layout.
+    assert len(before) == 5
+    _assert_routing_matches_scan(before, mapper)

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.storage.bloom import BloomFilter
 from repro.storage.compaction import compact
 from repro.storage.engine import StorageEngine
 from repro.storage.lsn import LSN, SEQ_BITS
@@ -142,17 +141,6 @@ def test_compaction_preserves_latest_values(items):
         b = reference.get(key, b"c")
         assert a is not None and b is not None
         assert a.lsn == b.lsn and a.value == b.value
-
-
-# -- bloom filter ----------------------------------------------------------
-
-@given(st.sets(st.binary(min_size=1, max_size=24), min_size=1,
-               max_size=200))
-def test_bloom_never_false_negative(items):
-    bloom = BloomFilter(expected_items=len(items))
-    for item in items:
-        bloom.add(item)
-    assert all(bloom.might_contain(item) for item in items)
 
 
 # -- WAL -----------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Tests for SSTables, bloom filters, and compaction."""
+"""Tests for SSTables and compaction."""
 
-from repro.storage.bloom import BloomFilter
 from repro.storage.compaction import SizeTieredPolicy, compact
 from repro.storage.lsn import LSN
 from repro.storage.memtable import Memtable
@@ -49,23 +48,6 @@ def test_keys_sorted_unique():
     table = table_from(wrec(1, key=b"b"), wrec(2, key=b"a"),
                        wrec(3, key=b"b", col=b"c2"))
     assert table.keys() == [b"a", b"b"]
-
-
-def test_bloom_filter_no_false_negatives():
-    bloom = BloomFilter(expected_items=100)
-    items = [f"item-{i}".encode() for i in range(100)]
-    for item in items:
-        bloom.add(item)
-    assert all(bloom.might_contain(item) for item in items)
-
-
-def test_bloom_filter_rejects_most_absent_items():
-    bloom = BloomFilter(expected_items=200, false_positive_rate=0.01)
-    for i in range(200):
-        bloom.add(f"present-{i}".encode())
-    false_positives = sum(
-        bloom.might_contain(f"absent-{i}".encode()) for i in range(1000))
-    assert false_positives < 50  # generous bound on 1% target
 
 
 def test_compact_newest_cell_wins():
